@@ -7,8 +7,8 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use fg_core::{
-    map_stage, run_linear, CountingObserver, MetricsRegistry, Observer, PipelineCfg, Program,
-    Rounds, Sampler, SamplerCfg, TelemetryServer, TraceSink,
+    map_stage, run_linear, MetricsRegistry, PipelineCfg, Program, Rounds, Sampler, SamplerCfg,
+    TelemetryServer, TraceKind, TraceSink,
 };
 use fg_sort::merge::LoserTree;
 use fg_sort::record::RecordFormat;
@@ -36,11 +36,11 @@ fn bench_pipeline_overhead(c: &mut Criterion) {
 }
 
 /// The observability layer's acceptance gate: the same no-op pipeline with
-/// no observer installed vs a [`CountingObserver`] seeing every event.  The
-/// no-observer case must stay within noise of the plain hot path (the hook
-/// sites are a never-taken `Option` branch).
-fn bench_observer_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("core_observer");
+/// no instrument attached vs every transition counted by kind off the
+/// flight recorder.  The uninstrumented case must stay within noise of the
+/// plain hot path (each instrument is a never-taken `Option` branch).
+fn bench_instrument_overhead(c: &mut Criterion) {
+    let mut group = c.benchmark_group("core_instruments");
     group.sample_size(10);
     let build = || {
         let mut prog = Program::new("bench");
@@ -54,20 +54,24 @@ fn bench_observer_overhead(c: &mut Criterion) {
         .unwrap();
         prog
     };
-    group.bench_function("no_observer_1000rounds", |b| {
+    group.bench_function("no_instruments_1000rounds", |b| {
         b.iter(|| build().run().expect("pipeline"))
     });
-    group.bench_function("counting_observer_1000rounds", |b| {
+    group.bench_function("counted_spans_1000rounds", |b| {
         b.iter(|| {
+            let sink = TraceSink::new();
             let mut prog = build();
-            prog.set_observer(Arc::new(CountingObserver::new()) as Arc<dyn Observer>);
-            prog.run().expect("pipeline")
+            prog.set_trace_sink(Arc::clone(&sink));
+            prog.run().expect("pipeline");
+            let logs = sink.collect();
+            let spans = logs.iter().flat_map(|l| &l.spans);
+            spans.filter(|s| s.kind == TraceKind::Convey).count()
         })
     });
     // Live-telemetry overhead: the same pipeline with queue-depth gauges
     // publishing into a registry, and then with a background sampler plus
     // an idle HTTP endpoint on top.  The acceptance bar is <2% over the
-    // no_observer baseline.
+    // no_instruments baseline.
     group.bench_function("metrics_registry_1000rounds", |b| {
         b.iter(|| {
             let mut prog = build();
@@ -93,7 +97,7 @@ fn bench_observer_overhead(c: &mut Criterion) {
 /// [`TraceSink`](fg_core::TraceSink) installed vs every transition writing
 /// a span record into the per-thread ring.  The no-sink case must stay
 /// within noise of the plain hot path (<3% on queue throughput) — the hook
-/// is a never-taken `Option` branch, exactly like the observer's.
+/// is a never-taken `Option` branch.
 fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("core_trace");
     group.sample_size(10);
@@ -168,7 +172,7 @@ fn bench_sort_bytes(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_pipeline_overhead,
-    bench_observer_overhead,
+    bench_instrument_overhead,
     bench_trace_overhead,
     bench_loser_tree,
     bench_sort_bytes

@@ -200,6 +200,7 @@ mod tests {
 
     #[test]
     fn hand_tuned_arm_runs_and_measures() {
+        let _serial = crate::workload_test_lock();
         let shape = AutotuneShape {
             rounds: 40,
             work_per_round: Duration::from_millis(1),
@@ -215,6 +216,7 @@ mod tests {
 
     #[test]
     fn autotuned_arm_attaches_the_controller() {
+        let _serial = crate::workload_test_lock();
         let shape = AutotuneShape {
             rounds: 60,
             work_per_round: Duration::from_millis(1),

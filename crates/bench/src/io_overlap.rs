@@ -172,6 +172,7 @@ mod tests {
 
     #[test]
     fn both_arms_agree_and_report_metrics() {
+        let _serial = crate::workload_test_lock();
         // Toy scale: correctness of the harness, not a perf claim.
         let res = run_io_overlap(12, 16 << 10, 2).unwrap();
         assert_eq!(res.blocks, 12);

@@ -176,6 +176,7 @@ mod tests {
 
     #[test]
     fn quick_run_produces_sane_cells() {
+        let _serial = crate::workload_test_lock();
         // Tiny shapes: correctness of the harness, not performance.
         let fmt = RecordFormat::REC16;
         let lanes = presorted_lanes(fmt, 4, 8);

@@ -34,6 +34,17 @@ use fg_sort::record::RecordFormat;
 use fg_sort::verify::{verify_output, Strictness};
 use fg_sort::SortError;
 
+/// Serializes this crate's tests that run real workloads, so a wall-clock
+/// gate such as `overlap::tests::pipelining_hides_latency` never shares
+/// the CPUs with a sibling test's pipeline threads.  Every such test holds
+/// the guard for its whole body.
+#[cfg(test)]
+pub(crate) fn workload_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed (panicked) sibling must not fail every later test too.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Scale of an experiment run.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {

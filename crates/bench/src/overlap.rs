@@ -148,6 +148,7 @@ mod tests {
 
     #[test]
     fn pipelining_hides_latency() {
+        let _serial = crate::workload_test_lock();
         let disk = DiskCfg::new(Duration::from_micros(500), 200.0 * 1024.0 * 1024.0);
         // Per-block disk service is ~1.6 ms (500 us latency + 312 us
         // transfer, read then write); aim compute at par so the pipeline
@@ -163,6 +164,7 @@ mod tests {
 
     #[test]
     fn zero_cost_disk_still_correct() {
+        let _serial = crate::workload_test_lock();
         let res = run_overlap(10, 4 << 10, DiskCfg::zero(), 2).unwrap();
         assert_eq!(res.blocks, 10);
         assert!(res.pipelined > Duration::ZERO);

@@ -157,6 +157,7 @@ mod tests {
 
     #[test]
     fn smoke_runs_and_reports_every_cell() {
+        let _serial = crate::workload_test_lock();
         let res = run_queue_bench(true);
         assert_eq!(res.contended.len(), 4);
         assert!(res.gated_speedup().is_some());

@@ -204,6 +204,7 @@ mod tests {
 
     #[test]
     fn diagnosis_names_rank_zero_as_the_hot_receiver() {
+        let _serial = crate::workload_test_lock();
         let res = run_unbalanced_comm(4, 32, None).expect("run");
         let total: u64 = res.received.iter().sum();
         assert_eq!(total, 4 * 32, "every block must arrive somewhere");
@@ -230,6 +231,7 @@ mod tests {
 
     #[test]
     fn traced_run_records_per_node_groups() {
+        let _serial = crate::workload_test_lock();
         let sink = TraceSink::new();
         let res = run_unbalanced_comm(4, 16, Some(Arc::clone(&sink))).expect("run");
         assert_eq!(res.report.ranks.len(), 4);

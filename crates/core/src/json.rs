@@ -6,16 +6,10 @@
 //! Chrome trace events) is small enough that a hand-rolled tree + recursive
 //! descent parser is simpler than a code-generation dependency anyway.
 //!
-//! Two exports matter:
-//!
-//! * [`Report::to_json`] / [`Report::from_json`] — lossless round-trip of a
-//!   run report for archiving and offline comparison (`experiments
-//!   --json-out`);
-//! * [`Report::to_chrome_trace`] — the Chrome trace-event format, loadable
-//!   in `chrome://tracing` or <https://ui.perfetto.dev>: one track (tid) per
-//!   stage thread, with `busy` / `starved` / `backpressured` slices derived
-//!   from the blocked-interval spans recorded under
-//!   [`Program::enable_tracing`](crate::Program::enable_tracing).
+//! [`Report::to_json`] / [`Report::from_json`] give a lossless round-trip
+//! of a run report for archiving and offline comparison (`experiments
+//! --json-out`).  Chrome trace events come from the flight recorder:
+//! [`TraceSink::to_chrome_trace`](crate::trace::TraceSink::to_chrome_trace).
 
 use std::fmt;
 use std::time::Duration;
@@ -763,72 +757,6 @@ impl Report {
             controller,
             resources,
         })
-    }
-
-    /// Export the run as a Chrome trace-event JSON array, loadable in
-    /// `chrome://tracing` or <https://ui.perfetto.dev>.
-    ///
-    /// Each stage thread becomes one track (`tid`), named via an `"M"`
-    /// metadata event.  The stage's timeline is tiled with non-overlapping
-    /// `"X"` (complete) slices: `starved` for waits inside accept,
-    /// `backpressured` for waits inside convey, and `busy` for the gaps in
-    /// between.  Timestamps are microseconds since program start.  Stages
-    /// recorded without spans (tracing disabled, sources/sinks) get a single
-    /// `untraced` slice spanning their wall time.
-    pub fn to_chrome_trace(&self) -> String {
-        const PID: u64 = 1;
-        let us = |ns: u64| Json::Num(ns as f64 / 1_000.0);
-        let mut events = Vec::new();
-        for (tid, s) in self.stages.iter().enumerate() {
-            let tid = tid as u64 + 1;
-            events.push(obj(vec![
-                ("ph", Json::from("M")),
-                ("name", Json::from("thread_name")),
-                ("pid", Json::from(PID)),
-                ("tid", Json::from(tid)),
-                ("args", obj(vec![("name", Json::from(s.name.as_str()))])),
-            ]));
-            let slice = |name: &str, start_ns: u64, end_ns: u64| {
-                obj(vec![
-                    ("ph", Json::from("X")),
-                    ("name", Json::from(name)),
-                    ("cat", Json::from("stage")),
-                    ("pid", Json::from(PID)),
-                    ("tid", Json::from(tid)),
-                    ("ts", us(start_ns)),
-                    ("dur", us(end_ns.saturating_sub(start_ns))),
-                ])
-            };
-            let wall_ns = s.wall.as_nanos() as u64;
-            if s.spans.is_empty() {
-                if wall_ns > 0 {
-                    events.push(slice("untraced", 0, wall_ns));
-                }
-                continue;
-            }
-            let mut spans = s.spans.clone();
-            spans.sort_by_key(|sp| sp.start_ns);
-            let mut cursor = 0u64;
-            for sp in &spans {
-                let start = sp.start_ns.max(cursor);
-                let end = sp.end_ns.max(start);
-                if start > cursor {
-                    events.push(slice("busy", cursor, start));
-                }
-                if end > start {
-                    let name = match sp.kind {
-                        SpanKind::Accept => "starved",
-                        SpanKind::Convey => "backpressured",
-                    };
-                    events.push(slice(name, start, end));
-                }
-                cursor = end;
-            }
-            if wall_ns > cursor {
-                events.push(slice("busy", cursor, wall_ns));
-            }
-        }
-        Json::Arr(events).to_string()
     }
 }
 

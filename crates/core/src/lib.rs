@@ -67,12 +67,12 @@ pub mod degrade;
 mod error;
 mod json;
 pub mod metrics;
-mod observe;
 pub mod profile;
 mod program;
 #[doc(hidden)]
 pub mod qbench;
 mod queue;
+mod recorder;
 mod runtime;
 mod stage;
 mod stats;
@@ -100,7 +100,6 @@ pub use json::Json;
 pub use metrics::{
     Counter, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use observe::{CountingObserver, MetricsObserver, Observer};
 pub use profile::{
     register_current_thread, AllocResources, LedgerSnapshot, MemoryLedger, ProfilerCfg,
     ResourceProfiler, ResourceReport, StageLedger, StageResidency, ThreadResources,

@@ -109,7 +109,6 @@ pub struct Program {
     stages: Vec<StageSlot>,
     pipelines: Vec<PipeSpec>,
     trace: bool,
-    observer: Option<Arc<dyn crate::observe::Observer>>,
     metrics: Option<Arc<crate::metrics::MetricsRegistry>>,
     trace_sink: Option<Arc<crate::trace::TraceSink>>,
     trace_group: Option<u32>,
@@ -128,7 +127,6 @@ impl Program {
             stages: Vec::new(),
             pipelines: Vec::new(),
             trace: false,
-            observer: None,
             metrics: None,
             trace_sink: None,
             trace_group: None,
@@ -152,20 +150,19 @@ impl Program {
         self.pin = Some(mode);
     }
 
-    /// Record every stage's blocked intervals so the finished
-    /// [`Report`](crate::Report) can render a Gantt chart
-    /// ([`Report::render_gantt`](crate::Report::render_gantt)).  Off by
-    /// default (tracing allocates per blocked interval).
+    /// Give every stage's [`StageStats`](crate::StageStats) row its
+    /// blocked intervals, so the finished [`Report`](crate::Report) can
+    /// render a Gantt chart
+    /// ([`Report::render_gantt`](crate::Report::render_gantt)).  The spans
+    /// are read off the flight recorder at thread exit (an internal
+    /// [`TraceSink`](crate::trace::TraceSink) when none is installed), so
+    /// they cover each stage's last
+    /// [`DEFAULT_RING_CAPACITY`](crate::trace::DEFAULT_RING_CAPACITY)
+    /// (4096) transitions — the installed sink's ring capacity, if
+    /// different — not the whole run.  (Earlier versions kept each
+    /// stage's first 100 000 blocked intervals instead.)  Off by default.
     pub fn enable_tracing(&mut self) {
         self.trace = true;
-    }
-
-    /// Install an [`Observer`](crate::observe::Observer) receiving a
-    /// callback at every runtime event (stage start/exit, buffer
-    /// accept/convey, source rounds, sink recycles).  Without an observer
-    /// the hook sites cost a single never-taken branch.
-    pub fn set_observer(&mut self, observer: Arc<dyn crate::observe::Observer>) {
-        self.observer = Some(observer);
     }
 
     /// Attach a [`MetricsRegistry`](crate::metrics::MetricsRegistry):
@@ -174,8 +171,8 @@ impl Program {
     /// embedded in the final [`Report`](crate::Report) (rendered by
     /// [`Report::render_dashboard`](crate::Report::render_dashboard) and
     /// exported by [`Report::to_json`](crate::Report::to_json)).  Other
-    /// layers (communicators, disks) and observers may record into the
-    /// same registry to land in the same report.
+    /// layers (communicators, disks) may record into the same registry to
+    /// land in the same report.
     pub fn set_metrics(&mut self, metrics: Arc<crate::metrics::MetricsRegistry>) {
         self.metrics = Some(metrics);
     }
@@ -196,8 +193,7 @@ impl Program {
     /// thread (stages, replicas, sources, sinks) gets a flight-recorder
     /// ring and records a causal span per transition, and every injected
     /// buffer carries a fresh trace id.  Without a sink the hook sites
-    /// cost a single never-taken branch (like
-    /// [`Program::set_observer`]).  The sink outlives the run: collect
+    /// cost a single never-taken branch.  The sink outlives the run: collect
     /// the log afterwards with
     /// [`TraceSink::collect`](crate::trace::TraceSink::collect) or export
     /// it with
@@ -425,7 +421,8 @@ impl Program {
                     .count();
                 if memberships != 1 {
                     return Err(FgError::Config(format!(
-                        "replicated stage `{}` must belong to exactly one                          pipeline (found {memberships})",
+                        "replicated stage `{}` must belong to exactly one \
+                         pipeline (found {memberships})",
                         slot.name
                     )));
                 }
@@ -748,7 +745,6 @@ impl Program {
             sources,
             sinks,
             trace: self.trace,
-            observer: self.observer.clone(),
             metrics: self.metrics.clone(),
             trace_sink: self.trace_sink.clone(),
             trace_group: self.trace_group,

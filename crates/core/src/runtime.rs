@@ -10,8 +10,8 @@ use parking_lot::{Condvar, Mutex};
 use crate::buffer::{Buffer, PipelineId};
 use crate::error::{FgError, Result};
 use crate::metrics::MetricsRegistry;
-use crate::observe::Observer;
 use crate::queue::{Item, Queue};
+use crate::recorder::Recorder;
 use crate::stage::{Port, Registry, ReplicaGroup, Rounds, Stage, StageCtx, StopFlag};
 use crate::stats::{Report, StageStats};
 use crate::trace::{
@@ -67,7 +67,6 @@ pub(crate) struct Plan {
     pub(crate) sources: Vec<SourceSet>,
     pub(crate) sinks: Vec<SinkSet>,
     pub(crate) trace: bool,
-    pub(crate) observer: Option<Arc<dyn Observer>>,
     pub(crate) metrics: Option<Arc<MetricsRegistry>>,
     pub(crate) trace_sink: Option<Arc<TraceSink>>,
     pub(crate) trace_group: Option<u32>,
@@ -122,7 +121,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         sources,
         sinks,
         trace,
-        observer,
         metrics,
         trace_sink,
         trace_group,
@@ -137,11 +135,12 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     } = plan;
     let mut placement = CorePlacement::new(pin);
 
-    // The watchdog needs the flight recorder's activity clock, so it
-    // implies an (internal, never-exported) sink when none was installed.
-    let trace_sink = match (trace_sink, &watchdog) {
-        (None, Some(_)) => Some(TraceSink::new()),
-        (sink, _) => sink,
+    // The watchdog needs the flight recorder's activity clock and the
+    // Gantt spans of `enable_tracing` are read off it, so either implies
+    // an (internal, never-exported) sink when none was installed.
+    let trace_sink = match trace_sink {
+        None if trace || watchdog.is_some() => Some(TraceSink::new()),
+        sink => sink,
     };
     if let Some(sink) = &trace_sink {
         sink.touch();
@@ -161,7 +160,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
 
     for task in tasks {
         let registry = Arc::clone(&registry);
-        let observer = observer.clone();
         let metrics = metrics.clone();
         let ring = ring_for(&task.name);
         let name = task.name.clone();
@@ -172,23 +170,15 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         let stage_ledger = ledger
             .as_ref()
             .map(|l| l.stage(crate::profile::replica_base(&name)));
-        let epoch = if trace { Some(start) } else { None };
+        let gantt = trace.then_some(start);
         let core = placement.assign();
         let handle = std::thread::Builder::new()
             .name(thread_name)
             .spawn(move || {
                 let _reg = crate::profile::register_current_thread(profile_name.clone());
                 let exit_metrics = metrics.clone();
-                let stats = run_stage_thread(
-                    task,
-                    registry,
-                    epoch,
-                    observer,
-                    metrics,
-                    ring,
-                    core,
-                    stage_ledger,
-                );
+                let stats =
+                    run_stage_thread(task, registry, gantt, metrics, ring, core, stage_ledger);
                 // Leave a final CPU sample behind: short-lived threads can
                 // exit between profiler ticks and would otherwise vanish
                 // from the per-stage attribution.
@@ -201,8 +191,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         handles.push(handle);
     }
     for src in sources {
-        let registry = Arc::clone(&registry);
-        let observer = observer.clone();
         let ring = ring_for(&src.label);
         let sink_ids = trace_sink.clone();
         let thread_name = format!("{program_name}/{}", src.label);
@@ -214,7 +202,7 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
             .name(thread_name)
             .spawn(move || {
                 let _reg = crate::profile::register_current_thread(profile_name.clone());
-                let stats = run_source(src, registry, observer, ring, sink_ids, core, pool_ledger);
+                let stats = run_source(src, ring, sink_ids, core, pool_ledger);
                 if let Some(m) = &exit_metrics {
                     crate::profile::publish_exit_sample(&profile_name, m);
                 }
@@ -224,7 +212,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         handles.push(handle);
     }
     for sink in sinks {
-        let observer = observer.clone();
         let ring = ring_for(&sink.label);
         let thread_name = format!("{program_name}/{}", sink.label);
         let profile_name = thread_name.clone();
@@ -234,7 +221,7 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
             .name(thread_name)
             .spawn(move || {
                 let _reg = crate::profile::register_current_thread(profile_name.clone());
-                let stats = run_sink(sink, observer, ring, core);
+                let stats = run_sink(sink, ring, core);
                 if let Some(m) = &exit_metrics {
                     crate::profile::publish_exit_sample(&profile_name, m);
                 }
@@ -327,12 +314,10 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_stage_thread(
     task: StageTask,
     registry: Arc<Registry>,
-    trace_epoch: Option<Instant>,
-    observer: Option<Arc<dyn Observer>>,
+    gantt: Option<Instant>,
     metrics: Option<Arc<MetricsRegistry>>,
     ring: Option<Arc<SpanRing>>,
     core: Option<usize>,
@@ -356,29 +341,21 @@ fn run_stage_thread(
             &name,
         )))
     });
-    let start = Instant::now();
-    let mut ctx = StageCtx::new(name.clone(), ports, shared_input, Arc::clone(&registry));
-    if let Some(l) = stage_ledger {
-        ctx.set_ledger(l);
-    }
-    if let Some(group) = replica_group {
-        ctx.set_replica_group(group, replica_index);
-    }
-    if let Some(epoch) = trace_epoch {
-        ctx.set_trace_epoch(epoch);
-    }
+    let mut rec = Recorder::new(ring).with_ledger(stage_ledger);
     // Live counters let a controller (and `/metrics` scrapes) see the
     // stage's time attribution as it evolves, not only at thread exit.
     if let Some(m) = &metrics {
-        ctx.set_live_metrics(m, start);
+        rec = rec.with_live(m, &name);
     }
-    if let Some(obs) = &observer {
-        ctx.set_observer(Arc::clone(obs));
-        obs.on_stage_start(&name);
-    }
-    if let Some(r) = ring {
-        r.set_state(ThreadState::Busy);
-        ctx.set_ring(r);
+    let mut ctx = StageCtx::new(
+        name.clone(),
+        ports,
+        shared_input,
+        Arc::clone(&registry),
+        rec,
+    );
+    if let Some(group) = replica_group {
+        ctx.set_replica_group(group, replica_index);
     }
 
     let outcome = catch_unwind(AssertUnwindSafe(|| stage.run(&mut ctx)));
@@ -402,28 +379,7 @@ fn run_stage_thread(
         }
     }
     ctx.finish();
-    if let Some(r) = ctx.ring() {
-        r.set_state(ThreadState::Done);
-    }
-    // Converge the live per-task counters (`core/stage_busy_ns/name#i`, …)
-    // on the exact end-of-run totals; the deltas were published
-    // incrementally after every accept/convey.
-    ctx.publish_live();
-
-    let stats = StageStats {
-        name,
-        core,
-        wall: start.elapsed(),
-        blocked_accept: ctx.stats.blocked_accept,
-        blocked_convey: ctx.stats.blocked_convey,
-        parked: ctx.stats.parked,
-        buffers_in: ctx.stats.buffers_in,
-        buffers_out: ctx.stats.buffers_out,
-        spans: std::mem::take(&mut ctx.stats.spans),
-    };
-    if let Some(obs) = &observer {
-        obs.on_stage_exit(&stats.name, &stats);
-    }
+    let stats = ctx.rec.finish(name, core, gantt);
     if let Some(m) = &metrics {
         m.counter(&format!("core/stage_buffers/{}", stats.name))
             .add(stats.buffers_in);
@@ -433,19 +389,13 @@ fn run_stage_thread(
 
 fn run_source(
     set: SourceSet,
-    registry: Arc<Registry>,
-    observer: Option<Arc<dyn Observer>>,
     ring: Option<Arc<SpanRing>>,
     trace_sink: Option<Arc<TraceSink>>,
     core: Option<usize>,
     ledger: Option<Arc<crate::profile::MemoryLedger>>,
 ) -> StageStats {
-    let start = Instant::now();
-    let mut stats = StageStats {
-        name: set.label.clone(),
-        core: pin_self(core),
-        ..StageStats::default()
-    };
+    let core = pin_self(core);
+    let mut rec = Recorder::new(ring);
 
     let index_of = |p: PipelineId| set.pipes.iter().position(|sp| sp.pipeline == p);
     let mut emitted = vec![0u64; set.pipes.len()];
@@ -496,20 +446,12 @@ fn run_source(
         }
         // Wait for a free buffer, remembered so the wait can be recorded
         // against the round the buffer ends up carrying.
-        let mut recycle_wait: Option<(Instant, Instant)> = None;
+        let mut recycle_wait = None;
         let mut buf = match pending.pop_front() {
             Some(b) => b,
             None => {
-                if let Some(r) = &ring {
-                    r.set_state(ThreadState::BlockedAccept);
-                }
-                let t0 = Instant::now();
-                let popped = set.recycle.pop();
-                let t1 = Instant::now();
-                stats.blocked_accept += t1 - t0;
-                if let Some(r) = &ring {
-                    r.set_state(ThreadState::Busy);
-                }
+                let (popped, t0, t1) =
+                    rec.blocked(ThreadState::BlockedAccept, || set.recycle.pop());
                 match popped {
                     Ok(Item::Buf(b)) => {
                         recycle_wait = Some((t0, t1));
@@ -556,39 +498,18 @@ fn run_source(
         if let Some(s) = &trace_sink {
             buf.set_trace_id(s.next_trace_id());
         }
-        let (round, tid, pid) = (buf.round(), buf.trace_id(), buf.pipeline().0);
-        if let Some(obs) = &observer {
-            obs.on_round_begin(&set.label, set.pipes[i].pipeline, emitted[i]);
-        }
+        let (pipeline, round, tid) = (buf.pipeline(), buf.round(), buf.trace_id());
         emitted[i] += 1;
-        if let Some(r) = &ring {
-            if let Some((w0, w1)) = recycle_wait.take() {
-                r.record(TraceKind::Accept, pid, round, tid, r.ns_of(w0), r.ns_of(w1));
-            }
-            r.set_state(ThreadState::BlockedConvey);
+        if let Some((w0, w1)) = recycle_wait {
+            rec.span(TraceKind::Accept, pipeline, round, tid, w0, w1);
         }
-        let t0 = Instant::now();
-        let pushed = set.pipes[i].first.push(Item::Buf(buf));
-        let t1 = Instant::now();
-        stats.blocked_convey += t1 - t0;
+        let (pushed, t0, t1) = rec.blocked(ThreadState::BlockedConvey, || {
+            set.pipes[i].first.push(Item::Buf(buf))
+        });
         if pushed.is_err() {
             break; // cancelled
         }
-        if let Some(r) = &ring {
-            r.record(
-                TraceKind::SourceInject,
-                pid,
-                round,
-                tid,
-                r.ns_of(t0),
-                r.ns_of(t1),
-            );
-            r.set_state(ThreadState::Busy);
-        }
-        stats.buffers_out += 1;
-        if let Some(obs) = &observer {
-            obs.on_source_emit(&set.label, set.pipes[i].pipeline, emitted[i] - 1);
-        }
+        rec.emitted(TraceKind::SourceInject, pipeline, round, tid, t0, t1);
         // Emit the caboose eagerly right after the final round so consumers
         // (e.g. a merge stage) learn about the end of this stream promptly.
         if let Rounds::Count(n) = set.pipes[i].rounds {
@@ -597,67 +518,33 @@ fn run_source(
             }
         }
     }
-    let _ = registry;
-    if let Some(r) = &ring {
-        r.set_state(ThreadState::Done);
-    }
-
-    stats.wall = start.elapsed();
-    stats
+    rec.finish(set.label, core, None)
 }
 
-fn run_sink(
-    set: SinkSet,
-    observer: Option<Arc<dyn Observer>>,
-    ring: Option<Arc<SpanRing>>,
-    core: Option<usize>,
-) -> StageStats {
-    let start = Instant::now();
-    let mut stats = StageStats {
-        name: set.label.clone(),
-        core: pin_self(core),
-        ..StageStats::default()
-    };
+fn run_sink(set: SinkSet, ring: Option<Arc<SpanRing>>, core: Option<usize>) -> StageStats {
+    let core = pin_self(core);
+    let mut rec = Recorder::new(ring);
     let mut remaining = set.members;
     while remaining > 0 {
-        if let Some(r) = &ring {
-            r.set_state(ThreadState::BlockedAccept);
-        }
-        let t0 = Instant::now();
-        let popped = set.queue.pop();
-        let t1 = Instant::now();
-        stats.blocked_accept += t1 - t0;
-        if let Some(r) = &ring {
-            r.set_state(ThreadState::Busy);
-        }
+        let (popped, t0, t1) = rec.blocked(ThreadState::BlockedAccept, || set.queue.pop());
         match popped {
             Ok(Item::Buf(b)) => {
-                stats.buffers_in += 1;
-                if let Some(obs) = &observer {
-                    obs.on_sink_recycle(&set.label, b.pipeline(), b.round());
-                }
-                let (pid, round, tid) = (b.pipeline().0, b.round(), b.trace_id());
+                rec.buffers_in += 1;
+                let (pipeline, round, tid) = (b.pipeline(), b.round(), b.trace_id());
                 // The source may already have retired; dropping is fine then.
-                let _ = set.recycle.push(Item::Buf(b));
-                if let Some(r) = &ring {
-                    r.record(TraceKind::Recycle, pid, round, tid, r.ns_of(t1), r.now_ns());
-                }
+                let (_, t0, t1) = rec.blocked(ThreadState::BlockedConvey, || {
+                    set.recycle.push(Item::Buf(b))
+                });
+                rec.emitted(TraceKind::Recycle, pipeline, round, tid, t0, t1);
             }
-            Ok(Item::Caboose(p)) => {
+            Ok(caboose) => {
                 remaining -= 1;
-                if let Some(r) = &ring {
-                    // Caboose progress still feeds the watchdog's clock.
-                    r.record(TraceKind::Accept, p.0, 0, 0, r.ns_of(t0), r.ns_of(t1));
-                }
+                rec.accepted(&caboose, t0, t1);
             }
             Err(_) => break,
         }
     }
-    if let Some(r) = &ring {
-        r.set_state(ThreadState::Done);
-    }
-    stats.wall = start.elapsed();
-    stats
+    rec.finish(set.label, core, None)
 }
 
 /// Watchdog loop: poll the sink's idle clock; on a stall, assemble and

@@ -21,11 +21,13 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::buffer::{Buffer, PipelineId};
 use crate::error::{FgError, Result};
 use crate::queue::{Item, Queue};
+use crate::recorder::Recorder;
+use crate::trace::{ThreadState, TraceKind};
 
 /// How many rounds a pipeline's source runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,10 +124,11 @@ pub fn reorder_stage() -> Box<dyn Stage> {
             None => {
                 if !stash.is_empty() {
                     return Err(FgError::Usage(format!(
-                            "reorder stage ended with {} stashed rounds                              (round {} never arrived)",
-                            stash.len(),
-                            next
-                        )));
+                        "reorder stage ended with {} stashed rounds \
+                         (round {} never arrived)",
+                        stash.len(),
+                        next
+                    )));
                 }
                 return Ok(());
             }
@@ -496,37 +499,6 @@ impl Port {
     }
 }
 
-#[derive(Default)]
-pub(crate) struct CtxStats {
-    pub(crate) blocked_accept: Duration,
-    pub(crate) blocked_convey: Duration,
-    /// Time spent parked at a farm's admission gate (replica index above
-    /// the live width) — idle capacity, not busy and not starved.
-    pub(crate) parked: Duration,
-    pub(crate) buffers_in: u64,
-    pub(crate) buffers_out: u64,
-    pub(crate) spans: Vec<crate::stats::Span>,
-}
-
-/// Live per-stage counters, published incrementally (after every accept
-/// and convey) so a mid-run sampler sees the stage's busy/starved profile
-/// as it evolves, not only at thread exit.  Deltas are tracked against
-/// already-published totals, so the final counter values equal the
-/// end-of-run totals exactly.
-pub(crate) struct LiveStageMetrics {
-    busy: Arc<crate::metrics::Counter>,
-    starved: Arc<crate::metrics::Counter>,
-    backpressured: Arc<crate::metrics::Counter>,
-    rounds: Arc<crate::metrics::Counter>,
-    started: Instant,
-    pub_busy: u64,
-    pub_starved: u64,
-    pub_backp: u64,
-}
-
-/// Cap on recorded spans per stage so tracing cannot grow unbounded.
-const MAX_SPANS: usize = 100_000;
-
 /// The handle through which a stage interacts with its pipelines.
 pub struct StageCtx {
     name: String,
@@ -539,30 +511,11 @@ pub struct StageCtx {
     /// This replica's index within its group (0 for ordinary stages);
     /// compared against the group's live width at the admission gate.
     replica_index: usize,
-    /// Incrementally-published stage counters; `None` (the default) when
-    /// no metrics registry is attached.
-    live: Option<LiveStageMetrics>,
-    /// Program start time when tracing is enabled; blocked intervals are
-    /// recorded relative to it.
-    trace_epoch: Option<Instant>,
-    /// Event hooks; `None` (the default) costs one never-taken branch per
-    /// accept/convey.
-    observer: Option<Arc<dyn crate::observe::Observer>>,
-    /// Flight-recorder ring for causal spans; `None` (the default) costs
-    /// one never-taken branch per transition, same as `observer`.
-    ring: Option<Arc<crate::trace::SpanRing>>,
-    /// End of this thread's last queue operation (ns since the trace-sink
-    /// epoch); the gap to the next convey is attributed as a `Work` span.
-    last_qop_end_ns: u64,
-    /// Buffer-residency row in the program's
-    /// [`MemoryLedger`](crate::profile::MemoryLedger); `None` (the
-    /// default) costs one never-taken branch per accept/convey.
-    ledger: Option<Arc<crate::profile::StageLedger>>,
     aux: Vec<u8>,
     /// Reusable scratch for [`StageCtx::accept_many`] batches.
     batch: Vec<Item>,
     registry: Arc<Registry>,
-    pub(crate) stats: CtxStats,
+    pub(crate) rec: Recorder,
 }
 
 impl StageCtx {
@@ -571,6 +524,7 @@ impl StageCtx {
         ports: Vec<Port>,
         shared_input: Option<Arc<Queue>>,
         registry: Arc<Registry>,
+        rec: Recorder,
     ) -> Self {
         StageCtx {
             name,
@@ -578,100 +532,16 @@ impl StageCtx {
             shared_input,
             replica_group: None,
             replica_index: 0,
-            live: None,
-            trace_epoch: None,
-            observer: None,
-            ring: None,
-            last_qop_end_ns: 0,
-            ledger: None,
             aux: Vec::new(),
             batch: Vec::new(),
             registry,
-            stats: CtxStats::default(),
+            rec,
         }
     }
 
     pub(crate) fn set_replica_group(&mut self, group: Arc<ReplicaGroup>, index: usize) {
         self.replica_group = Some(group);
         self.replica_index = index;
-    }
-
-    /// Attach this stage's residency row in the program's memory ledger;
-    /// accepted buffers charge it, conveyed/discarded buffers credit it.
-    pub(crate) fn set_ledger(&mut self, ledger: Arc<crate::profile::StageLedger>) {
-        self.ledger = Some(ledger);
-    }
-
-    /// Charge an accepted buffer's capacity to this stage's ledger row.
-    fn ledger_acquire(&self, bytes: usize) {
-        if let Some(l) = &self.ledger {
-            l.acquire(bytes);
-        }
-    }
-
-    /// Credit a conveyed/discarded buffer's capacity back.
-    fn ledger_release(&self, bytes: usize) {
-        if let Some(l) = &self.ledger {
-            l.release(bytes);
-        }
-    }
-
-    /// Attach incrementally-published stage counters (named under the
-    /// `core/stage_*` prefixes with this stage's task name).
-    pub(crate) fn set_live_metrics(
-        &mut self,
-        registry: &crate::metrics::MetricsRegistry,
-        started: Instant,
-    ) {
-        use crate::analyze::{
-            STAGE_BACKPRESSURED_PREFIX, STAGE_BUSY_PREFIX, STAGE_ROUNDS_PREFIX,
-            STAGE_STARVED_PREFIX,
-        };
-        self.live = Some(LiveStageMetrics {
-            busy: registry.counter(&format!("{STAGE_BUSY_PREFIX}{}", self.name)),
-            starved: registry.counter(&format!("{STAGE_STARVED_PREFIX}{}", self.name)),
-            backpressured: registry.counter(&format!("{STAGE_BACKPRESSURED_PREFIX}{}", self.name)),
-            rounds: registry.counter(&format!("{STAGE_ROUNDS_PREFIX}{}", self.name)),
-            started,
-            pub_busy: 0,
-            pub_starved: 0,
-            pub_backp: 0,
-        });
-    }
-
-    /// Publish the delta between current totals and what was already
-    /// published.  Cheap (a few relaxed atomic adds); called after every
-    /// accept and convey, and once more by the runtime at thread exit so
-    /// the counters converge on the exact end-of-run totals.
-    pub(crate) fn publish_live(&mut self) {
-        let Some(l) = &mut self.live else {
-            return;
-        };
-        let wall = l.started.elapsed().as_nanos() as u64;
-        let acc = self.stats.blocked_accept.as_nanos() as u64;
-        let conv = self.stats.blocked_convey.as_nanos() as u64;
-        let parked = self.stats.parked.as_nanos() as u64;
-        let busy = wall.saturating_sub(acc + conv + parked);
-        if busy > l.pub_busy {
-            l.busy.add(busy - l.pub_busy);
-            l.pub_busy = busy;
-        }
-        if acc > l.pub_starved {
-            l.starved.add(acc - l.pub_starved);
-            l.pub_starved = acc;
-        }
-        if conv > l.pub_backp {
-            l.backpressured.add(conv - l.pub_backp);
-            l.pub_backp = conv;
-        }
-    }
-
-    /// Count one completed round (a conveyed or discarded buffer) on the
-    /// live throughput counter.
-    fn record_round(&self) {
-        if let Some(l) = &self.live {
-            l.rounds.inc();
-        }
     }
 
     /// Park at the farm's admission gate when this replica's index is
@@ -683,40 +553,12 @@ impl StageCtx {
             if self.replica_index >= group.active() {
                 let t0 = Instant::now();
                 let res = group.await_admission(self.replica_index);
-                self.stats.parked += t0.elapsed();
-                self.publish_live();
+                self.rec.parked += t0.elapsed();
+                self.rec.publish_live();
                 res?;
             }
         }
         Ok(())
-    }
-
-    pub(crate) fn set_trace_epoch(&mut self, epoch: Instant) {
-        self.trace_epoch = Some(epoch);
-    }
-
-    pub(crate) fn set_observer(&mut self, observer: Arc<dyn crate::observe::Observer>) {
-        self.observer = Some(observer);
-    }
-
-    pub(crate) fn set_ring(&mut self, ring: Arc<crate::trace::SpanRing>) {
-        self.ring = Some(ring);
-    }
-
-    pub(crate) fn ring(&self) -> Option<&Arc<crate::trace::SpanRing>> {
-        self.ring.as_ref()
-    }
-
-    fn record_span(&mut self, kind: crate::stats::SpanKind, t0: Instant, t1: Instant) {
-        if let Some(epoch) = self.trace_epoch {
-            if self.stats.spans.len() < MAX_SPANS {
-                self.stats.spans.push(crate::stats::Span {
-                    kind,
-                    start_ns: t0.duration_since(epoch).as_nanos() as u64,
-                    end_ns: t1.duration_since(epoch).as_nanos() as u64,
-                });
-            }
-        }
     }
 
     /// Name of this stage.
@@ -756,9 +598,8 @@ impl StageCtx {
             })
     }
 
-    /// Accept the next buffer; only valid for a stage that belongs to
-    /// exactly one pipeline.  Returns `Ok(None)` once at end of stream.
-    pub fn accept(&mut self) -> Result<Option<Buffer>> {
+    /// Fail unless this stage is ordinary and belongs to one pipeline.
+    fn check_single_pipeline(&self) -> Result<()> {
         if self.shared_input.is_some() {
             return Err(FgError::Usage(format!(
                 "stage `{}` is virtual; use accept_any()",
@@ -772,6 +613,23 @@ impl StageCtx {
                 self.ports.len()
             )));
         }
+        Ok(())
+    }
+
+    /// The direct input queue of port `idx`.
+    fn input(&self, idx: usize) -> Result<Arc<Queue>> {
+        self.ports[idx].input.clone().ok_or_else(|| {
+            FgError::Usage(format!(
+                "stage `{}` has no direct input queue for {}",
+                self.name, self.ports[idx].pipeline
+            ))
+        })
+    }
+
+    /// Accept the next buffer; only valid for a stage that belongs to
+    /// exactly one pipeline.  Returns `Ok(None)` once at end of stream.
+    pub fn accept(&mut self) -> Result<Option<Buffer>> {
+        self.check_single_pipeline()?;
         self.pop_port(0)
     }
 
@@ -781,19 +639,7 @@ impl StageCtx {
     /// arrived; `Ok(0)` means end of stream.  Blocks until at least one
     /// buffer is available (or the stream ends), like [`StageCtx::accept`].
     pub fn accept_many(&mut self, max: usize, out: &mut Vec<Buffer>) -> Result<usize> {
-        if self.shared_input.is_some() {
-            return Err(FgError::Usage(format!(
-                "stage `{}` is virtual; use accept_any()",
-                self.name
-            )));
-        }
-        if self.ports.len() != 1 {
-            return Err(FgError::Usage(format!(
-                "stage `{}` belongs to {} pipelines; use accept_from()",
-                self.name,
-                self.ports.len()
-            )));
-        }
+        self.check_single_pipeline()?;
         if max == 0 {
             return Err(FgError::Usage(format!(
                 "stage `{}` called accept_many with a zero batch size",
@@ -806,50 +652,22 @@ impl StageCtx {
                 return Ok(0);
             }
             self.await_admission()?;
-            let input = match &self.ports[0].input {
-                Some(q) => Arc::clone(q),
-                None => {
-                    return Err(FgError::Usage(format!(
-                        "stage `{}` has no direct input queue for {}",
-                        self.name, self.ports[0].pipeline
-                    )))
-                }
-            };
+            let input = self.input(0)?;
             let mut items = std::mem::take(&mut self.batch);
             debug_assert!(items.is_empty());
-            if let Some(ring) = &self.ring {
-                ring.set_state(crate::trace::ThreadState::BlockedAccept);
-            }
-            let t0 = Instant::now();
-            let res = input.pop_many(max, &mut items);
-            let t1 = Instant::now();
-            self.stats.blocked_accept += t1 - t0;
-            self.publish_live();
-            self.record_span(crate::stats::SpanKind::Accept, t0, t1);
+            let (res, t0, t1) = self.rec.blocked(ThreadState::BlockedAccept, || {
+                input.pop_many(max, &mut items)
+            });
             if res.is_err() {
                 self.batch = items;
                 return Err(FgError::Cancelled);
             }
-            if let Some(ring) = &self.ring {
-                ring.set_state(crate::trace::ThreadState::Busy);
-            }
             let mut got = 0;
             let mut caboose = None;
             for item in items.drain(..) {
+                self.rec.accepted(&item, t0, t1);
                 match item {
                     Item::Buf(b) => {
-                        self.stats.buffers_in += 1;
-                        self.ledger_acquire(b.capacity());
-                        if let Some(obs) = &self.observer {
-                            obs.on_accept(
-                                &self.name,
-                                b.pipeline(),
-                                b.round(),
-                                input.name(),
-                                t1 - t0,
-                            );
-                        }
-                        self.trace_accept(&b, t0, t1);
                         out.push(b);
                         got += 1;
                     }
@@ -866,16 +684,6 @@ impl StageCtx {
                     // caboose so the stage can still convey them.
                     self.ports[0].deferred_caboose = true;
                 } else {
-                    if let Some(ring) = &self.ring {
-                        ring.record(
-                            crate::trace::TraceKind::Accept,
-                            p.0,
-                            0,
-                            0,
-                            ring.ns_of(t0),
-                            ring.ns_of(t1),
-                        );
-                    }
                     self.observe_caboose(0, p)?;
                 }
             }
@@ -918,41 +726,10 @@ impl StageCtx {
             if self.ports.iter().all(|p| p.eos) {
                 return Ok(None);
             }
-            if let Some(ring) = &self.ring {
-                ring.set_state(crate::trace::ThreadState::BlockedAccept);
-            }
-            let t0 = Instant::now();
-            let popped = shared.pop();
-            let t1 = Instant::now();
-            self.stats.blocked_accept += t1 - t0;
-            self.publish_live();
-            self.record_span(crate::stats::SpanKind::Accept, t0, t1);
-            match popped {
-                Ok(Item::Buf(b)) => {
-                    self.stats.buffers_in += 1;
-                    self.ledger_acquire(b.capacity());
-                    if let Some(obs) = &self.observer {
-                        obs.on_accept(&self.name, b.pipeline(), b.round(), shared.name(), t1 - t0);
-                    }
-                    self.trace_accept(&b, t0, t1);
-                    return Ok(Some(b));
-                }
-                Ok(Item::Caboose(p)) => {
-                    if let Some(ring) = &self.ring {
-                        ring.set_state(crate::trace::ThreadState::Busy);
-                        ring.record(
-                            crate::trace::TraceKind::Accept,
-                            p.0,
-                            0,
-                            0,
-                            ring.ns_of(t0),
-                            ring.ns_of(t1),
-                        );
-                    }
-                    self.mark_eos_and_forward(p)?;
-                    // Keep waiting: other member pipelines may still flow.
-                }
-                Err(_) => return Err(FgError::Cancelled),
+            match self.pop(&shared)? {
+                Item::Buf(b) => return Ok(Some(b)),
+                // Keep waiting: other member pipelines may still flow.
+                Item::Caboose(p) => self.mark_eos_and_forward(p)?,
             }
         }
     }
@@ -985,74 +762,24 @@ impl StageCtx {
             return Ok(None);
         }
         self.await_admission()?;
-        let input = match &self.ports[idx].input {
-            Some(q) => Arc::clone(q),
-            None => {
-                return Err(FgError::Usage(format!(
-                    "stage `{}` has no direct input queue for {}",
-                    self.name, self.ports[idx].pipeline
-                )))
-            }
-        };
-        if let Some(ring) = &self.ring {
-            ring.set_state(crate::trace::ThreadState::BlockedAccept);
-        }
-        let t0 = Instant::now();
-        let popped = input.pop();
-        let t1 = Instant::now();
-        self.stats.blocked_accept += t1 - t0;
-        self.publish_live();
-        self.record_span(crate::stats::SpanKind::Accept, t0, t1);
-        match popped {
-            Ok(Item::Buf(b)) => {
-                self.stats.buffers_in += 1;
-                self.ledger_acquire(b.capacity());
-                if let Some(obs) = &self.observer {
-                    obs.on_accept(&self.name, b.pipeline(), b.round(), input.name(), t1 - t0);
-                }
-                self.trace_accept(&b, t0, t1);
-                Ok(Some(b))
-            }
-            Ok(Item::Caboose(p)) => {
+        let input = self.input(idx)?;
+        match self.pop(&input)? {
+            Item::Buf(b) => Ok(Some(b)),
+            Item::Caboose(p) => {
                 debug_assert_eq!(p, self.ports[idx].pipeline);
-                if let Some(ring) = &self.ring {
-                    // A caboose is still progress for the watchdog's clock.
-                    ring.set_state(crate::trace::ThreadState::Busy);
-                    ring.record(
-                        crate::trace::TraceKind::Accept,
-                        p.0,
-                        0,
-                        0,
-                        ring.ns_of(t0),
-                        ring.ns_of(t1),
-                    );
-                }
                 self.observe_caboose(idx, p)?;
                 Ok(None)
             }
-            Err(_) => Err(FgError::Cancelled),
         }
     }
 
-    /// Flight-record an accepted buffer and flip this thread back to busy.
-    fn trace_accept(&mut self, b: &Buffer, t0: Instant, t1: Instant) {
-        let end = match &self.ring {
-            Some(ring) => {
-                ring.set_state(crate::trace::ThreadState::Busy);
-                let end = ring.ns_of(t1);
-                ring.record(
-                    crate::trace::TraceKind::Accept,
-                    b.pipeline().0,
-                    b.round(),
-                    b.trace_id(),
-                    ring.ns_of(t0),
-                    end,
-                );
-                end
-            }
-            None => return,
-        };
-        self.last_qop_end_ns = end;
+    /// Pop one item from `input`, charging the wait to starvation and
+    /// recording what arrived.
+    fn pop(&mut self, input: &Queue) -> Result<Item> {
+        let (popped, t0, t1) = self.rec.blocked(ThreadState::BlockedAccept, || input.pop());
+        let item = popped.map_err(|_| FgError::Cancelled)?;
+        self.rec.accepted(&item, t0, t1);
+        Ok(item)
     }
 
     /// Handle a caboose popped from port `idx`: in a replica group, only
@@ -1086,117 +813,11 @@ impl StageCtx {
                 buf.pipeline()
             )));
         }
-        let pipeline = buf.pipeline();
-        let round = buf.round();
-        let tid = buf.trace_id();
-        // Credit the ledger up front: the buffer leaves this stage whether
-        // the push lands or the program is cancelled underneath it.
-        self.ledger_release(buf.capacity());
-        let ordered = self.replica_group.as_ref().is_some_and(|g| g.is_ordered());
-        let t0 = Instant::now();
-        // The gap since this thread's last queue operation is the stage's
-        // own computation on this buffer: record it as a `Work` span.
-        if let Some(ring) = &self.ring {
-            let now = ring.ns_of(t0);
-            if self.last_qop_end_ns > 0 && now > self.last_qop_end_ns {
-                ring.record(
-                    crate::trace::TraceKind::Work,
-                    pipeline.0,
-                    round,
-                    tid,
-                    self.last_qop_end_ns,
-                    now,
-                );
-            }
-            if ordered {
-                ring.set_state(crate::trace::ThreadState::TurnWait);
-            }
-        }
-        // In an ordered farm, wait until every earlier round has been
-        // emitted so downstream stages see rounds in order.  The wait
-        // counts as blocked-convey time: the replica is done computing and
-        // is stalled on downstream ordering.
-        if let Some(group) = self.replica_group.clone() {
-            if group.is_ordered() {
-                group.await_turn(&self.name, pipeline, round)?;
-            }
-        }
-        let t_push = if self.ring.is_some() && ordered {
-            Instant::now()
+        if self.emit(idx, buf, TraceKind::Convey)? {
+            Ok(())
         } else {
-            t0
-        };
-        if let Some(ring) = &self.ring {
-            if ordered {
-                ring.record(
-                    crate::trace::TraceKind::TurnWait,
-                    pipeline.0,
-                    round,
-                    tid,
-                    ring.ns_of(t0),
-                    ring.ns_of(t_push),
-                );
-            }
-            ring.set_state(crate::trace::ThreadState::BlockedConvey);
+            Err(FgError::Cancelled)
         }
-        let res = self.ports[idx].output.push(Item::Buf(buf));
-        if res.is_ok() {
-            if let Some(group) = &self.replica_group {
-                group.finish_turn(pipeline, round);
-            }
-        }
-        let t1 = Instant::now();
-        self.stats.blocked_convey += t1 - t0;
-        self.publish_live();
-        self.record_span(crate::stats::SpanKind::Convey, t0, t1);
-        if res.is_ok() {
-            self.trace_convey(pipeline, round, tid, t_push, t1);
-        }
-        match res {
-            Ok(()) => {
-                self.stats.buffers_out += 1;
-                self.record_round();
-                if let Some(obs) = &self.observer {
-                    obs.on_convey(
-                        &self.name,
-                        pipeline,
-                        round,
-                        self.ports[idx].output.name(),
-                        t1 - t0,
-                    );
-                }
-                Ok(())
-            }
-            Err(_) => Err(FgError::Cancelled),
-        }
-    }
-
-    /// Flight-record a completed convey and flip this thread back to busy.
-    fn trace_convey(
-        &mut self,
-        pipeline: PipelineId,
-        round: u64,
-        tid: u64,
-        t0: Instant,
-        t1: Instant,
-    ) {
-        let end = match &self.ring {
-            Some(ring) => {
-                let end = ring.ns_of(t1);
-                ring.record(
-                    crate::trace::TraceKind::Convey,
-                    pipeline.0,
-                    round,
-                    tid,
-                    ring.ns_of(t0),
-                    end,
-                );
-                ring.set_state(crate::trace::ThreadState::Busy);
-                end
-            }
-            None => return,
-        };
-        self.last_qop_end_ns = end;
     }
 
     /// Return a buffer straight to its pipeline's buffer pool without
@@ -1205,35 +826,50 @@ impl StageCtx {
     /// this stage is the last stage of that pipeline.
     pub fn discard(&mut self, buf: Buffer) -> Result<()> {
         let idx = self.port_index(buf.pipeline())?;
-        // An ordered farm must still take (and release) the round's
-        // emission turn: a discarded round produces nothing downstream,
-        // but later rounds may only emit after it.
+        self.emit(idx, buf, TraceKind::Recycle).map(drop)
+    }
+
+    /// Hand `buf` on from port `idx` — downstream for a `Convey`, back to
+    /// the pool for a `Recycle` — and record the hand-off.  Returns
+    /// whether the buffer landed.
+    fn emit(&mut self, idx: usize, buf: Buffer, kind: TraceKind) -> Result<bool> {
         let (pipeline, round, tid) = (buf.pipeline(), buf.round(), buf.trace_id());
-        self.ledger_release(buf.capacity());
-        if let Some(group) = self.replica_group.clone() {
-            if group.is_ordered() {
-                group.await_turn(&self.name, pipeline, round)?;
+        // Credit the ledger up front: the buffer leaves this stage whether
+        // the push lands or the program is cancelled underneath it.
+        self.rec.released(buf.capacity());
+        self.rec.work(pipeline, round, tid);
+        // In an ordered farm, wait until every earlier round has been
+        // emitted so downstream stages see rounds in order; a discarded
+        // round produces nothing downstream, but later rounds may only
+        // emit after it.  The wait counts as blocked-convey time: the
+        // replica is done computing and is stalled on downstream ordering.
+        if let Some(group) = self.replica_group.clone().filter(|g| g.is_ordered()) {
+            let (turn, t0, t1) = self.rec.blocked(ThreadState::TurnWait, || {
+                group.await_turn(&self.name, pipeline, round)
+            });
+            turn?;
+            self.rec
+                .span(TraceKind::TurnWait, pipeline, round, tid, t0, t1);
+        }
+        let port = &self.ports[idx];
+        let queue = if kind == TraceKind::Recycle {
+            &port.recycle
+        } else {
+            &port.output
+        };
+        let (pushed, t0, t1) = self
+            .rec
+            .blocked(ThreadState::BlockedConvey, || queue.push(Item::Buf(buf)));
+        // A closed recycle queue means the pipeline is stopping: the
+        // discarded buffer's memory is simply released.
+        let landed = pushed.is_ok() || kind == TraceKind::Recycle;
+        if landed {
+            if let Some(group) = &self.replica_group {
+                group.finish_turn(pipeline, round);
             }
+            self.rec.emitted(kind, pipeline, round, tid, t0, t1);
         }
-        let t0 = Instant::now();
-        // Ignore a closed recycle queue: the pipeline is stopping and the
-        // buffer's memory is simply released.
-        let _ = self.ports[idx].recycle.push(Item::Buf(buf));
-        if let Some(group) = &self.replica_group {
-            group.finish_turn(pipeline, round);
-        }
-        self.record_round();
-        if let Some(ring) = &self.ring {
-            ring.record(
-                crate::trace::TraceKind::Recycle,
-                pipeline.0,
-                round,
-                tid,
-                ring.ns_of(t0),
-                ring.now_ns(),
-            );
-        }
-        Ok(())
+        Ok(landed)
     }
 
     /// Stop an [`Rounds::UntilStopped`] pipeline: its source emits the

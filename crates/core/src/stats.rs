@@ -50,7 +50,8 @@ pub struct StageStats {
     pub wall: Duration,
     /// Time blocked inside `accept`/`accept_from`/`accept_any`.
     pub blocked_accept: Duration,
-    /// Time blocked inside `convey` (downstream queue full).
+    /// Time blocked inside `convey`/`discard` (downstream queue full, or
+    /// an ordered farm waiting for the round's turn).
     pub blocked_convey: Duration,
     /// Time a farm replica spent parked at the admission gate while the
     /// controller held the farm below its declared width.  Idle capacity:
@@ -60,8 +61,10 @@ pub struct StageStats {
     pub buffers_in: u64,
     /// Buffers this stage conveyed.
     pub buffers_out: u64,
-    /// Blocked intervals, present when the program ran with
-    /// [`Program::enable_tracing`](crate::Program::enable_tracing).
+    /// Blocked intervals, present on stage rows when the program ran with
+    /// [`Program::enable_tracing`](crate::Program::enable_tracing): read
+    /// off the stage's flight-recorder ring at thread exit, so they cover
+    /// its most recent transitions only.
     pub spans: Vec<Span>,
 }
 

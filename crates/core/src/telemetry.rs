@@ -56,15 +56,15 @@ impl Cadence {
 
     /// Run `tick` every `interval` on the calling thread until
     /// [`Cadence::stop`]; a stop during the wait returns without a final
-    /// tick.
+    /// tick.  The flag is checked under the lock before every wait, so a
+    /// stop that lands before the first wait is not lost.
     pub(crate) fn run(&self, interval: Duration, mut tick: impl FnMut()) {
         let mut stop = self.stop.lock();
-        loop {
+        while !*stop {
             self.cv.wait_for(&mut stop, interval);
-            if *stop {
-                return;
+            if !*stop {
+                tick();
             }
-            tick();
         }
     }
 

@@ -15,8 +15,7 @@
 //! The ring is bounded (overwrite-oldest), allocation-free on the hot path,
 //! and entirely absent when no [`TraceSink`] is installed: stages hold an
 //! `Option<Arc<SpanRing>>` that is `None`, so the untraced cost is one
-//! never-taken branch per transition (the same zero-cost idiom as
-//! [`Observer`](crate::Observer)).
+//! never-taken branch per transition.
 //!
 //! From the collected span log, [`crate::critical_path`] reconstructs
 //! per-round buffer timelines, and [`TraceSink::to_chrome_trace`] exports

@@ -118,7 +118,46 @@ fn replicated_stage_in_two_pipelines_rejected() {
     prog.add_pipeline(PipelineCfg::new("b", 2, 8).count(1), &[work])
         .unwrap();
     let err = prog.run().unwrap_err();
-    assert!(matches!(err, FgError::Config(_)));
+    match err {
+        FgError::Config(msg) => assert_eq!(
+            msg,
+            "replicated stage `work` must belong to exactly one pipeline (found 2)"
+        ),
+        other => panic!("expected a config error, got {other:?}"),
+    }
+}
+
+#[test]
+fn reorder_reports_a_round_that_never_arrived() {
+    let mut prog = Program::new("gap");
+    // Round 1 is discarded upstream, so the reorder stage stashes rounds
+    // 2 and 3 forever and must fail at end of stream.
+    let drop_one = prog.add_stage(
+        "drop_one",
+        Box::new(|ctx: &mut fg_core::StageCtx| {
+            while let Some(buf) = ctx.accept()? {
+                if buf.round() == 1 {
+                    ctx.discard(buf)?;
+                } else {
+                    ctx.convey(buf)?;
+                }
+            }
+            Ok(())
+        }),
+    );
+    let join = prog.add_stage("join", reorder_stage());
+    prog.add_pipeline(
+        PipelineCfg::new("p", 4, 8).rounds(Rounds::Count(4)),
+        &[drop_one, join],
+    )
+    .unwrap();
+    match prog.run().unwrap_err() {
+        FgError::Usage(msg) => assert_eq!(
+            msg,
+            "reorder stage ended with 2 stashed rounds (round 1 never arrived)"
+        ),
+        other => panic!("expected a usage error, got {other:?}"),
+    }
 }
 
 #[test]

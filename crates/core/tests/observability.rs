@@ -1,12 +1,13 @@
-//! End-to-end tests of the observability layer: observer hooks, the metrics
-//! registry, queue-depth reporting, and the JSON / Chrome-trace exports.
+//! End-to-end tests of the observability layer: the flight recorder's
+//! span log, the metrics registry, queue-depth reporting, and the JSON /
+//! Chrome-trace exports.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use fg_core::{
-    map_stage, CountingObserver, Json, MetricsObserver, MetricsRegistry, PipelineCfg, Program,
-    Report, Rounds,
+    map_stage, Json, MetricsRegistry, PipelineCfg, Program, Report, Rounds, ThreadLog, TraceKind,
+    TraceSink,
 };
 
 const ROUNDS: u64 = 25;
@@ -33,25 +34,54 @@ fn two_stage_program() -> Program {
     prog
 }
 
+/// How many spans of `kind` carrying a buffer (non-zero trace id) the
+/// thread whose task name is `task` recorded.
+fn buffer_spans(logs: &[ThreadLog], task: &str, kind: TraceKind) -> usize {
+    logs.iter()
+        .filter(|l| l.task() == task)
+        .flat_map(|l| &l.spans)
+        .filter(|s| s.kind == kind && s.trace_id != 0)
+        .count()
+}
+
 #[test]
-fn counting_observer_sees_every_event() {
-    let obs = Arc::new(CountingObserver::new());
+fn flight_recorder_sees_every_transition() {
+    let sink = TraceSink::new();
     let mut prog = two_stage_program();
-    prog.set_observer(Arc::clone(&obs) as Arc<dyn fg_core::Observer>);
+    prog.set_trace_sink(Arc::clone(&sink));
     let report = prog.run().unwrap();
+    let logs = sink.collect();
 
-    assert_eq!(obs.stage_starts(), 2);
-    assert_eq!(obs.stage_exits(), 2);
+    // Both stage threads, the source and the sink each ran and exited.
+    assert_eq!(report.stages.len(), 4);
+    assert_eq!(logs.len(), 4);
     // Each of the two stages accepts and conveys every round's buffer.
-    assert_eq!(obs.accepts(), 2 * ROUNDS);
-    assert_eq!(obs.conveys(), 2 * ROUNDS);
-    assert_eq!(obs.round_begins(), ROUNDS);
-    assert_eq!(obs.source_emits(), ROUNDS);
-    assert_eq!(obs.sink_recycles(), ROUNDS);
+    for stage in ["fill", "check"] {
+        assert_eq!(
+            buffer_spans(&logs, stage, TraceKind::Accept),
+            ROUNDS as usize
+        );
+        assert_eq!(
+            buffer_spans(&logs, stage, TraceKind::Convey),
+            ROUNDS as usize
+        );
+    }
+    assert_eq!(
+        buffer_spans(&logs, "p/source", TraceKind::SourceInject),
+        ROUNDS as usize
+    );
+    assert_eq!(
+        buffer_spans(&logs, "p/sink", TraceKind::Recycle),
+        ROUNDS as usize
+    );
 
-    // The observer agrees with the report's own accounting.
-    assert_eq!(report.stage("fill").unwrap().buffers_in, ROUNDS);
-    assert_eq!(report.stage("check").unwrap().buffers_out, ROUNDS);
+    // The span log agrees with the report's own accounting.
+    for stage in ["fill", "check"] {
+        let s = report.stage(stage).unwrap();
+        assert_eq!((s.buffers_in, s.buffers_out), (ROUNDS, ROUNDS));
+    }
+    assert_eq!(report.stage("p/source").unwrap().buffers_out, ROUNDS);
+    assert_eq!(report.stage("p/sink").unwrap().buffers_in, ROUNDS);
 }
 
 #[test]
@@ -59,15 +89,18 @@ fn metrics_registry_collects_core_metrics_and_queue_depths() {
     let registry = Arc::new(MetricsRegistry::new());
     let mut prog = two_stage_program();
     prog.set_metrics(Arc::clone(&registry));
-    prog.set_observer(Arc::new(MetricsObserver::new(&registry)));
     let report = prog.run().unwrap();
 
-    assert_eq!(report.metrics.counter("core/accepts"), Some(2 * ROUNDS));
-    assert_eq!(report.metrics.counter("core/conveys"), Some(2 * ROUNDS));
-    assert_eq!(report.metrics.counter("core/rounds"), Some(ROUNDS));
-    assert_eq!(report.metrics.counter("core/recycles"), Some(ROUNDS));
-    let waits = report.metrics.histogram("core/accept_wait_ns").unwrap();
-    assert_eq!(waits.count, 2 * ROUNDS);
+    for stage in ["fill", "check"] {
+        let rounds = report
+            .metrics
+            .counter(&format!("core/stage_rounds/{stage}"));
+        assert_eq!(rounds, Some(ROUNDS), "{stage}");
+        let accepted = report
+            .metrics
+            .counter(&format!("core/stage_buffers/{stage}"));
+        assert_eq!(accepted, Some(ROUNDS), "{stage}");
+    }
 
     // Every wired queue reports depth statistics and a live gauge.
     assert!(!report.queues.is_empty());
@@ -85,11 +118,11 @@ fn metrics_registry_collects_core_metrics_and_queue_depths() {
     let dash = report.render_dashboard();
     assert!(dash.contains("== queues =="));
     assert!(dash.contains("== metrics: core =="));
-    assert!(dash.contains("core/accepts = 50"));
+    assert!(dash.contains("core/stage_rounds/fill = 25"));
 }
 
 #[test]
-fn no_observer_run_reports_empty_metrics() {
+fn uninstrumented_run_reports_empty_metrics() {
     let report = two_stage_program().run().unwrap();
     assert!(report.metrics.is_empty());
     // Queue high-water marks are tracked unconditionally (they live inside
@@ -103,7 +136,6 @@ fn report_json_round_trips() {
     let mut prog = two_stage_program();
     prog.enable_tracing();
     prog.set_metrics(Arc::clone(&registry));
-    prog.set_observer(Arc::new(MetricsObserver::new(&registry)));
     let report = prog.run().unwrap();
 
     let text = report.to_json();
@@ -113,16 +145,20 @@ fn report_json_round_trips() {
 
 #[test]
 fn chrome_trace_is_valid_and_slices_do_not_overlap() {
+    let sink = TraceSink::new();
     let mut prog = two_stage_program();
-    prog.enable_tracing();
+    prog.set_trace_sink(Arc::clone(&sink));
     let report = prog.run().unwrap();
 
-    let trace = report.to_chrome_trace();
+    let trace = sink.to_chrome_trace();
     let json = Json::parse(&trace).expect("chrome trace parses as JSON");
-    let events = json.as_arr().expect("trace is a JSON array");
+    let events = json
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("trace has an event array");
     assert!(!events.is_empty());
 
-    // One thread-name metadata event per stage thread (stages + source +
+    // One thread-name metadata event per runtime thread (stages + source +
     // sink), each with a distinct tid.
     let mut tids = Vec::new();
     for e in events {
@@ -135,13 +171,14 @@ fn chrome_trace_is_valid_and_slices_do_not_overlap() {
             "X" => {
                 let name = e.get("name").and_then(Json::as_str).unwrap();
                 assert!(
-                    matches!(name, "busy" | "starved" | "backpressured" | "untraced"),
+                    matches!(name, "inject" | "accept" | "work" | "convey" | "recycle"),
                     "unexpected slice {name:?}"
                 );
                 assert!(e.get("ts").and_then(Json::as_f64).is_some());
                 assert!(e.get("dur").and_then(Json::as_f64).unwrap() >= 0.0);
                 assert!(e.get("tid").and_then(Json::as_u64).is_some());
             }
+            "s" | "t" | "f" => assert_eq!(e.get("cat").and_then(Json::as_str), Some("flow")),
             other => panic!("unexpected event phase {other:?}"),
         }
     }
@@ -151,7 +188,9 @@ fn chrome_trace_is_valid_and_slices_do_not_overlap() {
     sorted.dedup();
     assert_eq!(sorted.len(), tids.len(), "tids must be distinct");
 
-    // Per tid, slices tile the timeline without overlapping.
+    // Per tid, slices tile the timeline without overlapping.  The exporter
+    // floors each slice at 1 ns (0.001 us) so zero-length spans stay
+    // visible; allow that much.
     for tid in tids {
         let mut slices: Vec<(f64, f64)> = events
             .iter()
@@ -171,7 +210,7 @@ fn chrome_trace_is_valid_and_slices_do_not_overlap() {
             let (ts0, dur0) = w[0];
             let (ts1, _) = w[1];
             assert!(
-                ts0 + dur0 <= ts1 + 1e-9,
+                ts0 + dur0 <= ts1 + 0.001 + 1e-9,
                 "overlapping slices on tid {tid}: {w:?}"
             );
         }
@@ -179,8 +218,8 @@ fn chrome_trace_is_valid_and_slices_do_not_overlap() {
 }
 
 #[test]
-fn observer_survives_stage_errors() {
-    let obs = Arc::new(CountingObserver::new());
+fn stage_exit_is_recorded_on_the_error_path() {
+    let registry = Arc::new(MetricsRegistry::new());
     let mut prog = Program::new("err");
     let boom = prog.add_stage(
         "boom",
@@ -197,16 +236,18 @@ fn observer_survives_stage_errors() {
     );
     let cfg = PipelineCfg::new("p", 2, 8).rounds(Rounds::Count(100));
     prog.add_pipeline(cfg, &[boom]).unwrap();
-    prog.set_observer(Arc::clone(&obs) as Arc<dyn fg_core::Observer>);
+    prog.set_metrics(Arc::clone(&registry));
     assert!(prog.run().is_err());
-    // Even on the error path every started stage reports an exit.
-    assert_eq!(obs.stage_starts(), obs.stage_exits());
-    assert_eq!(obs.stage_starts(), 1);
+    // Even on the error path the stage thread publishes its exit totals:
+    // rounds 0..=3 were accepted and 0..=2 conveyed before the failure.
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("core/stage_buffers/boom"), Some(4));
+    assert_eq!(snap.counter("core/stage_rounds/boom"), Some(3));
 }
 
 #[test]
-fn accept_wait_histogram_records_plausible_latencies() {
-    let registry = Arc::new(MetricsRegistry::new());
+fn accept_spans_record_plausible_latencies() {
+    let sink = TraceSink::new();
     let mut prog = Program::new("lat");
     let slow = prog.add_stage(
         "slow",
@@ -218,17 +259,23 @@ fn accept_wait_histogram_records_plausible_latencies() {
     let fast = prog.add_stage("fast", map_stage(|_buf, _ctx| Ok(())));
     let cfg = PipelineCfg::new("p", 2, 8).rounds(Rounds::Count(10));
     prog.add_pipeline(cfg, &[slow, fast]).unwrap();
-    prog.set_metrics(Arc::clone(&registry));
-    prog.set_observer(Arc::new(MetricsObserver::new(&registry)));
+    prog.set_trace_sink(Arc::clone(&sink));
     prog.run().unwrap();
 
-    // `fast` starves behind `slow`, so some accept waits near 1ms must be
-    // visible in the histogram's upper range.
-    let h = registry.histogram("core/accept_wait_ns").snapshot();
-    assert_eq!(h.count, 20);
+    // `fast` starves behind `slow`, so some of its accept waits must be
+    // near 1ms.
+    let logs = sink.collect();
+    let waits: Vec<u64> = logs
+        .iter()
+        .filter(|l| l.task() == "fast")
+        .flat_map(|l| &l.spans)
+        .filter(|s| s.kind == TraceKind::Accept && s.trace_id != 0)
+        .map(|s| s.dur_ns())
+        .collect();
+    assert_eq!(waits.len(), 10);
+    let max = waits.iter().copied().max().unwrap();
     assert!(
-        h.max >= 100_000,
-        "expected some waits >= 0.1ms, max was {}ns",
-        h.max
+        max >= 100_000,
+        "expected some waits >= 0.1ms, max was {max}ns"
     );
 }
