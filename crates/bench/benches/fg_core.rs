@@ -10,7 +10,7 @@ use fg_core::{
     map_stage, run_linear, MetricsRegistry, PipelineCfg, Program, Rounds, Sampler, SamplerCfg,
     TelemetryServer, TraceKind, TraceSink,
 };
-use fg_sort::merge::LoserTree;
+use fg_sort::merge::{merge_runs, LoserTree};
 use fg_sort::record::RecordFormat;
 
 fn bench_pipeline_overhead(c: &mut Criterion) {
@@ -142,6 +142,22 @@ fn bench_loser_tree(c: &mut Criterion) {
                 }
                 out
             })
+        });
+        // The same interleaved stream as REC16 runs, through the
+        // frontier-batch kernel every production merge uses.
+        let fmt = RecordFormat::REC16;
+        let runs: Vec<Vec<u8>> = (0..k)
+            .map(|lane| {
+                let mut run = vec![0u8; 100_000 / k * 16];
+                for (i, rec) in run.chunks_exact_mut(16).enumerate() {
+                    fmt.set_key(rec, (i * k + lane) as u64);
+                }
+                run
+            })
+            .collect();
+        let refs: Vec<&[u8]> = runs.iter().map(|r| r.as_slice()).collect();
+        group.bench_function(format!("frontier_k{k}_merge100k"), |b| {
+            b.iter(|| merge_runs(fmt, &refs).len())
         });
     }
     group.finish();

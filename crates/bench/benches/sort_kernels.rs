@@ -1,6 +1,6 @@
 //! Sort/merge kernel microbenchmarks: the LSD radix permutation sort vs
 //! the comparison baseline across sizes, record formats, and key
-//! distributions, and the batched (galloping) `MergeRun` merge vs the
+//! distributions, and the frontier-batch merge (`merge_runs`) vs the
 //! scalar one-record-at-a-time loser tree.
 //!
 //! The CI gate runs the `kernel-bench` experiments subcommand instead (one

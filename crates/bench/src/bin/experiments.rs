@@ -898,7 +898,9 @@ fn main() {
         sink.write("autotune-convergence", jobj(members));
     }
     if run_all || cmd == "kernel-bench" {
-        println!("\n=== Sort/merge kernels: radix vs comparison, batched vs scalar merge ===");
+        println!(
+            "\n=== Sort/merge kernels: radix vs comparison, frontier-batch vs scalar merge ==="
+        );
         let res = fg_bench::kernel_bench::run_kernel_bench(quick);
         println!(
             "sort {} records (uniform REC16): radix {:.3}s   comparison {:.3}s   speedup {:.2}x",
@@ -909,7 +911,8 @@ fn main() {
         );
         for cell in &res.merge {
             println!(
-                "merge k={:3} x {:6} records/lane: scalar {:.3}s   batched {:.3}s   speedup {:.2}x",
+                "merge {:9} k={:3} x {:6} records/lane: scalar {:.3}s   batched {:.3}s   speedup {:.2}x",
+                cell.shape,
                 cell.k,
                 cell.per_lane,
                 cell.scalar.as_secs_f64(),
@@ -931,6 +934,7 @@ fn main() {
                             .iter()
                             .map(|cell| {
                                 jobj(vec![
+                                    ("shape", Json::from(cell.shape)),
                                     ("k", Json::from(cell.k)),
                                     ("per_lane", Json::from(cell.per_lane)),
                                     ("scalar_s", jsecs(cell.scalar)),

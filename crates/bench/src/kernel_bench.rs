@@ -1,5 +1,6 @@
 //! Kernel smoke benchmark: the radix sort kernel vs the comparison
-//! baseline, and the batched merge vs the scalar loser tree.
+//! baseline, and the frontier-batch merge (`merge_runs`) vs the scalar
+//! loser tree.
 //!
 //! The criterion bench (`benches/sort_kernels.rs`) is the full local grid;
 //! this module is the CI-sized cut — one best-of-N timing per cell — whose
@@ -16,16 +17,20 @@ use fg_sort::record::RecordFormat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One merge cell: `k` presorted lanes merged both ways.
+/// One merge cell: `k` sorted lanes merged both ways.
 #[derive(Debug)]
 pub struct MergeCell {
+    /// Lane contents: `"presorted"` (lane `i` holds one contiguous key
+    /// range, the batching best case) or `"uniform"` (every lane holds
+    /// uniform random keys, so the lanes interleave record by record).
+    pub shape: &'static str,
     /// Number of input lanes.
     pub k: usize,
     /// Records per lane.
     pub per_lane: usize,
     /// Scalar loser-tree merge, one winner/replace per record (best-of-N).
     pub scalar: Duration,
-    /// Batched `MergeRun` merge (best-of-N).
+    /// Frontier-batch merge through `merge_runs` (best-of-N).
     pub batched: Duration,
 }
 
@@ -45,7 +50,7 @@ pub struct KernelBenchResult {
     pub radix: Duration,
     /// Comparison kernel wall time (best-of-N).
     pub comparison: Duration,
-    /// Merge cells at increasing fan-in.
+    /// Presorted merge cells at increasing fan-in, then the uniform cell.
     pub merge: Vec<MergeCell>,
 }
 
@@ -94,7 +99,20 @@ fn presorted_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>>
         .collect()
 }
 
-/// The pre-kernel scalar merge: one winner/replace per record.
+/// Uniform lanes: each of the `k` lanes holds `per_lane` uniform random
+/// keys, sorted — the shape of dsort's pass-2 runs, whose windows overlap
+/// almost entirely.
+fn uniform_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>> {
+    (0..k)
+        .map(|i| {
+            let mut lane = uniform_records(fmt, per_lane, 0xC0FFEE + i as u64);
+            fmt.sort_bytes(&mut lane, &mut Vec::new());
+            lane
+        })
+        .collect()
+}
+
+/// The scalar reference merge: one winner/replace per record.
 fn scalar_merge(fmt: RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
     let rb = fmt.record_bytes;
     let mut offsets = vec![0usize; runs.len()];
@@ -145,22 +163,23 @@ pub fn run_kernel_bench(quick: bool) -> KernelBenchResult {
     let radix = timed_sort(Kernel::Radix);
     let comparison = timed_sort(Kernel::Comparison);
 
-    let merge = [4usize, 64, 256]
+    let cell = |shape: &'static str, lanes: Vec<Vec<u8>>| {
+        let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
+        let batched = best_of(reps, || merge_runs(fmt, &refs).len());
+        let scalar = best_of(reps, || scalar_merge(fmt, &refs).len());
+        MergeCell {
+            shape,
+            k: lanes.len(),
+            per_lane: fmt.count(&lanes[0]),
+            scalar,
+            batched,
+        }
+    };
+    let mut merge: Vec<MergeCell> = [4usize, 64, 256]
         .into_iter()
-        .map(|k| {
-            let per_lane = merge_total / k;
-            let lanes = presorted_lanes(fmt, k, per_lane);
-            let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
-            let batched = best_of(reps, || merge_runs(fmt, &refs).len());
-            let scalar = best_of(reps, || scalar_merge(fmt, &refs).len());
-            MergeCell {
-                k,
-                per_lane,
-                scalar,
-                batched,
-            }
-        })
+        .map(|k| cell("presorted", presorted_lanes(fmt, k, merge_total / k)))
         .collect();
+    merge.push(cell("uniform", uniform_lanes(fmt, 256, merge_total / 256)));
 
     KernelBenchResult {
         records: sort_n,
@@ -185,5 +204,8 @@ mod tests {
         let b = merge_runs(fmt, &refs);
         assert_eq!(a, b, "scalar and batched merges must agree");
         assert!(fmt.is_sorted(&a));
+        let lanes = uniform_lanes(fmt, 5, 700);
+        let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
+        assert_eq!(scalar_merge(fmt, &refs), merge_runs(fmt, &refs));
     }
 }

@@ -32,10 +32,18 @@ pub const CHUNK_HEADER_BYTES: usize = 24;
 
 /// Append a chunk to `out`.
 pub fn push_chunk(out: &mut Vec<u8>, a: u64, b: u64, data: &[u8]) {
-    out.extend_from_slice(&a.to_le_bytes());
-    out.extend_from_slice(&b.to_le_bytes());
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    out.extend_from_slice(&chunk_header(a, b, data.len()));
     out.extend_from_slice(data);
+}
+
+/// The header of a chunk of `len` data bytes: write it, then the data, to
+/// pack a chunk into a buffer without staging it.
+pub(crate) fn chunk_header(a: u64, b: u64, len: usize) -> [u8; CHUNK_HEADER_BYTES] {
+    let mut header = [0u8; CHUNK_HEADER_BYTES];
+    header[..8].copy_from_slice(&a.to_le_bytes());
+    header[8..16].copy_from_slice(&b.to_le_bytes());
+    header[16..].copy_from_slice(&(len as u64).to_le_bytes());
+    header
 }
 
 /// Size a chunk of `len` data bytes occupies.

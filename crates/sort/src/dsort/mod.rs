@@ -17,13 +17,37 @@ pub mod sampling;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fg_cluster::{Cluster, ClusterCfg, ClusterError, ClusterObs};
+use fg_cluster::{Cluster, ClusterCfg, ClusterError, ClusterObs, Communicator};
 use fg_core::cluster_report::{ClusterReport, RankReport};
 use fg_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use fg_pdm::{DiskRef, DiskStats};
 
 use crate::config::SortConfig;
 use crate::SortError;
+
+/// First payload byte of a pass-1 or pass-2 message: data follows.
+pub const MSG_DATA: u8 = 0;
+/// First payload byte: the sender finished the pass.
+pub const MSG_DONE: u8 = 1;
+/// First payload byte: the sender's pass failed and it sends nothing more.
+pub const MSG_ABORT: u8 = 2;
+
+/// End a send stage whose body returned `sent`: tell every node the
+/// sender is done (after `Ok`) or aborted (after any error, the teardown
+/// `Cancelled` included), so no receive stage waits in the fabric —
+/// outside any FG queue teardown could close — for a sender that is
+/// gone.  On the error path a failed marker send is ignored and the
+/// body's error returned.
+fn end_sends(comm: &Communicator, tag: u64, sent: fg_core::Result<()>) -> fg_core::Result<()> {
+    let marker = if sent.is_ok() { MSG_DONE } else { MSG_ABORT };
+    for dst in 0..comm.nodes() {
+        let told = comm.send(dst, tag, vec![marker]);
+        if sent.is_ok() {
+            told.map_err(SortError::from)?;
+        }
+    }
+    sent
+}
 
 /// Timings and counters from one dsort run.
 #[derive(Debug, Clone)]

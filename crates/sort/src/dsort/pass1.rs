@@ -18,7 +18,9 @@
 //! The receive pipeline's length is data-dependent, so it runs
 //! `UntilStopped`: after a `DONE` marker from every sender and an empty
 //! carry, the receive stage conveys the final partial run and stops the
-//! pipeline.
+//! pipeline.  A send stage that fails, or is torn down because another
+//! stage failed, sends an `ABORT` marker instead, which the receivers
+//! turn into [`SortError::PeerAborted`].
 
 use std::sync::Arc;
 
@@ -29,16 +31,16 @@ use parking_lot::Mutex;
 
 use crate::chunks::{self, CHUNK_HEADER_BYTES};
 use crate::config::SortConfig;
+use crate::dsort::end_sends;
 use crate::input::INPUT_FILE;
 use crate::record::{partition_of, ExtKey};
 use crate::SortError;
 
 /// Message tag for pass-1 traffic.
 pub const TAG_PASS1: u64 = 0x0D50_0001;
-/// First payload byte: record data follows.
-pub const MSG_DATA: u8 = 0;
-/// First payload byte: the sender has finished pass 1.
-pub const MSG_DONE: u8 = 1;
+/// First payload byte of a pass-1 message: [`MSG_DATA`] precedes record
+/// data; [`MSG_DONE`] and [`MSG_ABORT`] end a sender's stream.
+pub use crate::dsort::{MSG_ABORT, MSG_DATA, MSG_DONE};
 
 /// Name of the file holding this node's sorted runs.
 pub const RUNS_FILE: &str = "dsort_runs";
@@ -133,29 +135,28 @@ pub fn pass1(
     let send = prog.add_stage(
         "send",
         Box::new(move |ctx: &mut StageCtx| {
-            while let Some(buf) = ctx.accept()? {
-                // Propagate the buffer's trace id with each chunk so the
-                // receiving rank's comm-recv span joins this buffer's flow
-                // in the merged Chrome export.
-                let trace_id = buf.trace_id();
-                for chunk in chunks::iter_chunks(buf.filled()) {
-                    let chunk = chunk?;
-                    let mut payload = Vec::with_capacity(1 + chunk.data.len());
-                    payload.push(MSG_DATA);
-                    payload.extend_from_slice(chunk.data);
-                    comm_send
-                        .send_traced(chunk.a as usize, TAG_PASS1, payload, trace_id)
-                        .map_err(SortError::from)?;
+            let sent: fg_core::Result<()> = (|| {
+                while let Some(buf) = ctx.accept()? {
+                    // Propagate the buffer's trace id with each chunk so the
+                    // receiving rank's comm-recv span joins this buffer's
+                    // flow in the merged Chrome export.
+                    let trace_id = buf.trace_id();
+                    for chunk in chunks::iter_chunks(buf.filled()) {
+                        let chunk = chunk?;
+                        let mut payload = Vec::with_capacity(1 + chunk.data.len());
+                        payload.push(MSG_DATA);
+                        payload.extend_from_slice(chunk.data);
+                        comm_send
+                            .send_traced(chunk.a as usize, TAG_PASS1, payload, trace_id)
+                            .map_err(SortError::from)?;
+                    }
+                    ctx.convey(buf)?;
                 }
-                ctx.convey(buf)?;
-            }
-            // All local input distributed: tell every node.
-            for dst in 0..nodes {
-                comm_send
-                    .send(dst, TAG_PASS1, vec![MSG_DONE])
-                    .map_err(SortError::from)?;
-            }
-            Ok(())
+                Ok(())
+            })();
+            // All local input distributed, or the pass failed: tell every
+            // node either way.
+            end_sends(&comm_send, TAG_PASS1, sent)
         }) as Box<dyn Stage>,
     );
 
@@ -191,6 +192,9 @@ pub fn pass1(
                             let data = &msg.payload[1..];
                             let n = buf.append(data);
                             carry.extend_from_slice(&data[n..]);
+                        }
+                        Some(&MSG_ABORT) => {
+                            return Err(SortError::PeerAborted { node: msg.src }.into())
                         }
                         _ => return Err(SortError::Corrupt("empty pass-1 message".into()).into()),
                     }

@@ -11,33 +11,43 @@
 //!   buffers are small; the single horizontal pipeline's buffers are large
 //!   (§IV: "buffers in the vertical pipelines might be relatively small ...
 //!   the horizontal pipeline's can be much larger").
-//! * The merge stage fills horizontal buffers with globally-ranked output
-//!   (this node's merged stream covers ranks `[offset, offset + n)` where
-//!   `offset` comes from an exchange of partition sizes) and a **send
-//!   stage** splits each buffer along PDM stripe boundaries and doles the
-//!   pieces out — unbalanced communication again, so a **disjoint receive
+//! * The merge stage runs the frontier-batch kernel
+//!   ([`crate::merge::FrontierMerge`]) over each run's head vertical
+//!   buffer: every step emits, as one radix-sorted batch, the buffered
+//!   records that precede everything still on disk, and drains one head
+//!   buffer, which is discarded and replaced by the run's next.  It fills
+//!   horizontal buffers with the globally-ranked output (this node's
+//!   merged stream covers ranks `[offset, offset + n)` where `offset`
+//!   comes from an exchange of partition sizes) and a **send stage**
+//!   splits each buffer along PDM stripe boundaries and doles the pieces
+//!   out — unbalanced communication again, so a **disjoint receive
 //!   pipeline** (`receive → write`) accepts whatever stripe pieces arrive
 //!   and writes them to the local stripe file.
+//! * The send stage ends by telling every node it is done, or that it
+//!   aborted when the pass failed, so a receive stage never waits in the
+//!   fabric for a sender that is gone; an abort becomes
+//!   [`SortError::PeerAborted`] on the receiving node.
 
 use std::sync::Arc;
 
-use fg_cluster::Communicator;
-use fg_core::{map_stage, Buffer, PipelineCfg, Program, Rounds, Stage, StageCtx};
+use fg_cluster::{Communicator, Message};
+use fg_core::{map_stage, Buffer, FgError, PipelineCfg, Program, Rounds, Stage, StageCtx};
 use fg_pdm::{DiskRef, Striping};
 
 use crate::chunks::{self, CHUNK_HEADER_BYTES};
 use crate::config::SortConfig;
+use crate::dsort::end_sends;
 use crate::dsort::pass1::RUNS_FILE;
-use crate::merge::LoserTree;
+use crate::merge::FrontierMerge;
 use crate::verify::OUTPUT_FILE;
 use crate::SortError;
 
 /// Message tag for pass-2 traffic.
 pub const TAG_PASS2: u64 = 0x0D50_0002;
-/// First payload byte: a stripe piece follows (8-byte global offset, data).
-pub const MSG_DATA: u8 = 0;
-/// First payload byte: the sender has finished pass 2.
-pub const MSG_DONE: u8 = 1;
+/// First payload byte of a pass-2 message: [`MSG_DATA`] precedes a stripe
+/// piece (8-byte global offset, data); [`MSG_DONE`] and [`MSG_ABORT`] end
+/// a sender's stream.
+pub use crate::dsort::{MSG_ABORT, MSG_DATA, MSG_DONE};
 
 /// Outcome of pass 2 on one node.
 #[derive(Debug, Clone)]
@@ -128,82 +138,38 @@ pub fn pass2(
         Box::new(move |ctx: &mut StageCtx| {
             let pids: Vec<_> = ctx.pipelines().collect();
             let (verticals, horizontal) = pids.split_at(pids.len() - 1);
-            let verticals = verticals.to_vec();
             let horizontal = horizontal[0];
-            let k = verticals.len();
 
-            // Current head buffer + byte offset per vertical.
-            let mut heads: Vec<Option<(Buffer, usize)>> = Vec::with_capacity(k);
-            let next_head = |ctx: &mut StageCtx,
-                             v: fg_core::PipelineId|
-             -> fg_core::Result<Option<(Buffer, usize)>> {
-                loop {
-                    match ctx.accept_from(v)? {
-                        None => return Ok(None),
-                        Some(b) if b.is_empty() => ctx.discard(b)?,
-                        Some(b) => return Ok(Some((b, 0))),
-                    }
-                }
-            };
-            for &v in &verticals {
-                let h = next_head(ctx, v)?;
-                heads.push(h);
-            }
-            let mut tree = if k > 0 {
-                Some(LoserTree::new(
-                    heads
-                        .iter()
-                        .map(|h| h.as_ref().map(|(b, off)| (fmt.key(&b.filled()[*off..]), 0)))
-                        .collect(),
-                ))
-            } else {
-                None
-            };
+            // Each lane's window is its head vertical buffer.
+            let mut merge = FrontierMerge::new(fmt, verticals.len());
+            let mut heads: Vec<Option<Buffer>> = verticals.iter().map(|_| None).collect();
+            refill(ctx, verticals, &mut merge, &mut heads)?;
 
-            let mut out = ctx
-                .accept_from(horizontal)?
-                .expect("horizontal source supplies empty buffers");
+            // The horizontal source runs until stopped, so its queue ends
+            // early only when the program is torn down.
+            let mut out = ctx.accept_from(horizontal)?.ok_or(FgError::Cancelled)?;
             out.clear();
             let mut produced = 0u64; // records emitted so far
             out.meta = rank_offset; // global rank of this buffer's first record
 
-            let mut policy = crate::merge::BatchPolicy::new();
-            while let Some((lane, _)) = tree.as_ref().and_then(|t| t.winner()) {
-                let (buf, off) = heads[lane].take().expect("winner lane has a head");
-                // MergeRun fast path: emit every buffered record of this
-                // lane that still beats the tree's runner-up in one copy,
-                // capped by the output buffer's space, instead of one
-                // record (and one tree replay) at a time.  The policy
-                // backs off to scalar steps while the runs interleave too
-                // finely to batch.
-                let avail = &buf.filled()[off..];
-                let run = policy.merge_run(tree.as_ref().expect("tree exists"), fmt, avail);
-                let n = run.min(out.remaining() / rb).max(1);
-                out.append(&avail[..n * rb]);
+            while let Some(mut batch) =
+                merge.step(|j| heads[j].as_ref().expect("live lane has a window").filled())
+            {
                 if let Some(h) = &batch_hist {
-                    h.record(n as u64);
+                    h.record((batch.len() / rb) as u64);
                 }
-                produced += n as u64;
-                let noff = off + n * rb;
-                if noff < buf.len() {
-                    heads[lane] = Some((buf, noff));
-                } else {
-                    ctx.discard(buf)?;
-                    heads[lane] = next_head(ctx, verticals[lane])?;
+                while !batch.is_empty() {
+                    let n = out.append(batch);
+                    batch = &batch[n..];
+                    produced += (n / rb) as u64;
+                    if out.remaining() == 0 {
+                        ctx.convey(out)?;
+                        out = ctx.accept_from(horizontal)?.ok_or(FgError::Cancelled)?;
+                        out.clear();
+                        out.meta = rank_offset + produced;
+                    }
                 }
-                let next_key = heads[lane]
-                    .as_ref()
-                    .map(|(b, o)| (fmt.key(&b.filled()[*o..]), 0));
-                tree.as_mut().expect("tree exists").replace(lane, next_key);
-
-                if out.remaining() == 0 {
-                    ctx.convey(out)?;
-                    out = ctx
-                        .accept_from(horizontal)?
-                        .expect("horizontal source stopped early");
-                    out.clear();
-                    out.meta = rank_offset + produced;
-                }
+                refill(ctx, verticals, &mut merge, &mut heads)?;
             }
             if out.is_empty() {
                 ctx.discard(out)?;
@@ -220,26 +186,24 @@ pub fn pass2(
     let send = prog.add_stage(
         "send",
         Box::new(move |ctx: &mut StageCtx| {
-            while let Some(buf) = ctx.accept()? {
-                let goff = buf.meta * rb as u64;
-                let data = buf.filled();
-                for (dest, _local, range) in striping.split_range(goff, data.len()) {
-                    let mut payload = Vec::with_capacity(9 + range.len());
-                    payload.push(MSG_DATA);
-                    payload.extend_from_slice(&(goff + range.start as u64).to_le_bytes());
-                    payload.extend_from_slice(&data[range]);
-                    comm_send
-                        .send(dest, TAG_PASS2, payload)
-                        .map_err(SortError::from)?;
+            let sent: fg_core::Result<()> = (|| {
+                while let Some(buf) = ctx.accept()? {
+                    let goff = buf.meta * rb as u64;
+                    let data = buf.filled();
+                    for (dest, _local, range) in striping.split_range(goff, data.len()) {
+                        let mut payload = Vec::with_capacity(9 + range.len());
+                        payload.push(MSG_DATA);
+                        payload.extend_from_slice(&(goff + range.start as u64).to_le_bytes());
+                        payload.extend_from_slice(&data[range]);
+                        comm_send
+                            .send(dest, TAG_PASS2, payload)
+                            .map_err(SortError::from)?;
+                    }
+                    ctx.convey(buf)?;
                 }
-                ctx.convey(buf)?;
-            }
-            for dst in 0..nodes {
-                comm_send
-                    .send(dst, TAG_PASS2, vec![MSG_DONE])
-                    .map_err(SortError::from)?;
-            }
-            Ok(())
+                Ok(())
+            })();
+            end_sends(&comm_send, TAG_PASS2, sent)
         }) as Box<dyn Stage>,
     );
 
@@ -250,7 +214,9 @@ pub fn pass2(
         Box::new(move |ctx: &mut StageCtx| {
             let pid = ctx.pipelines().next().expect("receive pipeline");
             let mut dones = 0usize;
-            let mut pending: Option<(u64, Vec<u8>)> = None;
+            // A received stripe piece not yet packed: its global byte
+            // offset and the message whose payload holds it from byte 9.
+            let mut pending: Option<(u64, Message)> = None;
             loop {
                 let mut buf = match ctx.accept()? {
                     Some(b) => b,
@@ -258,15 +224,14 @@ pub fn pass2(
                 };
                 buf.clear();
                 loop {
-                    if let Some((goff, data)) = pending.take() {
+                    if let Some((goff, msg)) = pending.take() {
+                        let data = &msg.payload[9..];
                         if chunks::chunk_size(data.len()) > buf.remaining() {
-                            pending = Some((goff, data));
+                            pending = Some((goff, msg));
                             break; // convey this buffer, chunk goes in next
                         }
-                        let mut packed = Vec::with_capacity(chunks::chunk_size(data.len()));
-                        chunks::push_chunk(&mut packed, goff, 0, &data);
-                        let n = buf.append(&packed);
-                        debug_assert_eq!(n, packed.len());
+                        buf.append(&chunks::chunk_header(goff, 0, data.len()));
+                        buf.append(data);
                         continue;
                     }
                     if dones == nodes {
@@ -283,7 +248,10 @@ pub fn pass2(
                             }
                             let goff =
                                 u64::from_le_bytes(msg.payload[1..9].try_into().expect("8 bytes"));
-                            pending = Some((goff, msg.payload[9..].to_vec()));
+                            pending = Some((goff, msg));
+                        }
+                        Some(&MSG_ABORT) => {
+                            return Err(SortError::PeerAborted { node: msg.src }.into())
                         }
                         _ => return Err(SortError::Corrupt("empty pass-2 message".into()).into()),
                     }
@@ -357,4 +325,35 @@ pub fn pass2(
         runs_merged: k,
         report,
     })
+}
+
+/// Give every lane the merge drained its next window: discard the lane's
+/// spent head buffer and accept the next non-empty one from its vertical
+/// pipeline, or close the lane once the pipeline is exhausted.
+fn refill(
+    ctx: &mut StageCtx,
+    verticals: &[fg_core::PipelineId],
+    merge: &mut FrontierMerge,
+    heads: &mut [Option<Buffer>],
+) -> fg_core::Result<()> {
+    while let Some(j) = merge.pop_drained() {
+        if let Some(spent) = heads[j].take() {
+            ctx.discard(spent)?;
+        }
+        loop {
+            match ctx.accept_from(verticals[j])? {
+                None => {
+                    merge.close(j);
+                    break;
+                }
+                Some(b) if b.is_empty() => ctx.discard(b)?,
+                Some(b) => {
+                    merge.open(j, b.filled());
+                    heads[j] = Some(b);
+                    break;
+                }
+            }
+        }
+    }
+    Ok(())
 }

@@ -34,7 +34,7 @@ use crate::chunks::{self, CHUNK_HEADER_BYTES};
 use crate::config::SortConfig;
 use crate::dsort::sampling;
 use crate::input::INPUT_FILE;
-use crate::merge::LoserTree;
+use crate::merge::FrontierMerge;
 use crate::record::{partition_of, ExtKey};
 use crate::verify::OUTPUT_FILE;
 use crate::SortError;
@@ -296,73 +296,54 @@ fn pass2_linear(
                 })
                 .collect()
         };
-        let mut consumed: Vec<u64> = vec![0; run_lens_v.len()];
-        // Head record cache per run (read one record at a time:
-        // deliberately unbuffered — this is the no-read-ahead ablation,
-        // but reading record-by-record would be absurd even for the
-        // baseline, so keep a one-block cache per run, refilled
-        // synchronously in the pipeline's only thread).
-        let mut caches: Vec<Vec<u8>> = vec![Vec::new(); run_lens_v.len()];
-        let mut cache_pos: Vec<usize> = vec![0; run_lens_v.len()];
-        let mut tree: Option<LoserTree> = None;
-        let mut batch_policy = crate::merge::BatchPolicy::new();
+        let k = run_lens_v.len();
+        let mut consumed: Vec<u64> = vec![0; k];
+        // One-block window per run, refilled synchronously in the
+        // pipeline's only thread: deliberately no read-ahead (this is the
+        // ablation), but not record-by-record reads either.
+        let mut caches: Vec<Vec<u8>> = vec![Vec::new(); k];
+        let mut merge = FrontierMerge::new(fmt, k);
+        // A batch's records past the end of the round's block, emitted
+        // first next round.
+        let mut carry: Vec<u8> = Vec::new();
+        let mut carry_pos = 0usize;
         let mut produced = 0u64;
         map_stage(move |buf, _ctx| {
-            let k = run_lens_v.len();
-            // Synchronously refill a run's cache; returns head key or None.
-            let mut refill = |j: usize,
-                              caches: &mut Vec<Vec<u8>>,
-                              cache_pos: &mut Vec<usize>|
-             -> Result<Option<u64>, SortError> {
-                if cache_pos[j] < caches[j].len() {
-                    return Ok(Some(fmt.key(&caches[j][cache_pos[j]..])));
-                }
-                let remaining = run_lens_v[j] - consumed[j];
-                if remaining == 0 {
-                    return Ok(None);
-                }
-                let want = (block as u64).min(remaining) as usize;
-                let data = merge_disk.read_up_to(RUNS_FILE, offsets[j] + consumed[j], want)?;
-                consumed[j] += data.len() as u64;
-                caches[j] = data;
-                cache_pos[j] = 0;
-                if caches[j].is_empty() {
-                    Ok(None)
-                } else {
-                    Ok(Some(fmt.key(&caches[j][..])))
-                }
-            };
-            if tree.is_none() && k > 0 {
-                let mut heads = Vec::with_capacity(k);
-                for j in 0..k {
-                    heads.push(refill(j, &mut caches, &mut cache_pos)?.map(|key| (key, 0)));
-                }
-                tree = Some(LoserTree::new(heads));
-            }
             buf.clear();
             buf.meta = rank_offset + produced;
             // One stripe block of output per round (the buffer itself is
             // larger: it must also hold the round's *received* pieces).
+            let n = block.min(carry.len() - carry_pos);
+            buf.append(&carry[carry_pos..carry_pos + n]);
+            carry_pos += n;
             while buf.len() < block {
-                let (lane, _) = match tree.as_ref().and_then(|t| t.winner()) {
-                    Some(w) => w,
-                    None => break,
+                while let Some(j) = merge.pop_drained() {
+                    let remaining = run_lens_v[j] - consumed[j];
+                    let want = (block as u64).min(remaining) as usize;
+                    caches[j] = if want == 0 {
+                        Vec::new()
+                    } else {
+                        merge_disk
+                            .read_up_to(RUNS_FILE, offsets[j] + consumed[j], want)
+                            .map_err(SortError::from)?
+                    };
+                    consumed[j] += caches[j].len() as u64;
+                    if caches[j].is_empty() {
+                        merge.close(j);
+                    } else {
+                        merge.open(j, &caches[j]);
+                    }
+                }
+                let Some(batch) = merge.step(|j| &caches[j]) else {
+                    break;
                 };
-                // MergeRun fast path: batch every cached record of this
-                // lane that still beats the runner-up, capped to the
-                // block's remaining space.  The policy backs off to scalar
-                // steps while the runs interleave too finely to batch.
-                let pos = cache_pos[lane];
-                let avail = &caches[lane][pos..];
-                let run = batch_policy.merge_run(tree.as_ref().expect("tree"), fmt, avail);
-                let n = run.min((block - buf.len()) / rb).max(1);
-                buf.append(&avail[..n * rb]);
-                cache_pos[lane] += n * rb;
-                produced += n as u64;
-                let next = refill(lane, &mut caches, &mut cache_pos)?.map(|key| (key, 0));
-                tree.as_mut().expect("tree").replace(lane, next);
+                let n = (block - buf.len()).min(batch.len());
+                buf.append(&batch[..n]);
+                carry.clear();
+                carry.extend_from_slice(&batch[n..]);
+                carry_pos = 0;
             }
-            let _ = offsets.len();
+            produced += (buf.len() / rb) as u64;
             Ok(())
         })
     });

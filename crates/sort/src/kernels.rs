@@ -15,8 +15,8 @@
 //!   that apply the sorted permutation with fixed-size copies the compiler
 //!   can vectorize;
 //! * **galloping run detection** over sorted record slices ([`run_len`]) —
-//!   the building block of the batched `MergeRun` fast path in
-//!   [`crate::merge`] and of the two-run merge in csort pass 3 / csort4
+//!   how the frontier-batch merge in [`crate::merge`] cuts each window,
+//!   and the building block of the two-run merge in csort pass 3 / csort4
 //!   pass 4.
 //!
 //! All scratch memory lives in a [`SortScratch`] that callers thread

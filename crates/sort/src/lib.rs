@@ -57,6 +57,11 @@ pub enum SortError {
     Fg(String),
     /// Output verification failed.
     Verify(String),
+    /// A peer node's send stage aborted, so this node's pass is cancelled.
+    PeerAborted {
+        /// The rank that aborted.
+        node: usize,
+    },
 }
 
 impl fmt::Display for SortError {
@@ -68,6 +73,11 @@ impl fmt::Display for SortError {
             SortError::Comm(m) => write!(f, "communication error: {m}"),
             SortError::Fg(m) => write!(f, "FG error: {m}"),
             SortError::Verify(m) => write!(f, "verification failed: {m}"),
+            // "cancelled" marks this as a symptom, not a root cause, for
+            // the cluster's error selection.
+            SortError::PeerAborted { node } => {
+                write!(f, "pass cancelled: node {node} aborted its sends")
+            }
         }
     }
 }

@@ -1,13 +1,26 @@
-//! K-way merging: the loser tree driving dsort's merge stage.
+//! K-way merging: the frontier-batch kernel behind every merge path.
 //!
 //! Pass 2 of dsort merges up to hundreds of sorted runs (§V).  The merge
 //! stage "repeatedly chooses the smallest value not yet chosen from any of
-//! the buffers" — a tournament among the run heads.  A *loser tree* does
-//! each choose-and-refill in `O(log k)` comparisons.
+//! the buffers".  Choosing one record at a time — a tournament replay per
+//! record — costs `O(log k)` data-dependent comparisons per record.  The
+//! [`FrontierMerge`] kernel chooses a whole *batch* per step instead: the
+//! smallest tail key among the buffered windows bounds which buffered
+//! records precede everything still on disk; those records are cut from
+//! every window and sorted together by the radix kernel
+//! ([`crate::kernels::sort_records`]).  A stable sort of a lane-order
+//! concatenation orders ties by lane, so the output is byte-identical to
+//! the scalar merge.  dsort pass 2, dsort-linear's merge-read and
+//! [`merge_runs`] all run this kernel.
 //!
-//! The tree operates on `(key, tiebreak)` pairs; lanes with equal pairs win
-//! in lane order, so a merge is fully deterministic.  Lane exhaustion is
-//! `None`, which loses against everything.
+//! [`LoserTree`] is the scalar reference: one `O(log k)` replay per record.
+//! No production path uses it; the proptest oracle, the kernel-bench gate
+//! and the `core_merge` Criterion group do.  Its `(key, tiebreak)` pairs
+//! break full ties by lane index, and an exhausted lane is `None`, which
+//! loses against everything.
+
+use crate::kernels::{run_len, sort_records, SortScratch};
+use crate::record::RecordFormat;
 
 /// A merge key: the record's sort key plus a caller-chosen tiebreak.
 pub type MergeKey = (u64, u64);
@@ -106,165 +119,201 @@ impl LoserTree {
     pub fn lanes(&self) -> usize {
         self.k
     }
-
-    /// The lane that would win if the current winner's lane were exhausted
-    /// — the best live contender along the winner's tournament path — and
-    /// its key.  `None` when every other lane is exhausted.  `O(log k)`.
-    pub fn runner_up(&self) -> Option<(usize, MergeKey)> {
-        if self.k == 1 {
-            return None;
-        }
-        let winner = self.losers[0];
-        let mut best: Option<usize> = None;
-        let mut node = (self.k + winner) / 2;
-        while node >= 1 {
-            let contender = self.losers[node];
-            if self.keys[contender].is_some() && best.is_none_or(|b| self.beats(contender, b)) {
-                best = Some(contender);
-            }
-            node /= 2;
-        }
-        best.map(|b| (b, self.keys[b].expect("live contender has a key")))
-    }
-
-    /// The `MergeRun` fast path: how many leading records of `lane_data` —
-    /// the current winner's buffered, sorted records, merged with tiebreak
-    /// 0 — can be emitted in one batch before the tree must be consulted
-    /// again, i.e. every record that still beats the runner-up.  At least 1
-    /// (the head itself is the winner), at most the records in `lane_data`.
-    /// The caller copies the whole range with one `copy_from_slice`, then
-    /// calls [`LoserTree::replace`] once.
-    pub fn merge_run(&self, fmt: crate::record::RecordFormat, lane_data: &[u8]) -> usize {
-        let lane = self.losers[0];
-        let n = lane_data.len() / fmt.record_bytes;
-        debug_assert!(n >= 1, "winner lane must have buffered records");
-        debug_assert_eq!(
-            self.keys[lane],
-            Some((fmt.key(lane_data), 0)),
-            "lane_data must start at the winner's head (tiebreak 0)"
-        );
-        let Some((r_lane, (r_key, r_tie))) = self.runner_up() else {
-            return n; // every other lane exhausted: drain this one
-        };
-        // A record with key `k` (tiebreak 0) beats the runner-up when
-        // (k, 0, lane) < (r_key, r_tie, r_lane); with `k` non-decreasing
-        // along the run this reduces to a single key bound, strict or not
-        // depending on how the (tiebreak, lane) comparison falls.
-        let len = if (0u64, lane) < (r_tie, r_lane) {
-            crate::kernels::run_len(fmt, lane_data, |k| k <= r_key)
-        } else {
-            crate::kernels::run_len(fmt, lane_data, |k| k < r_key)
-        };
-        len.clamp(1, n)
-    }
 }
 
-/// Adaptive gate in front of [`LoserTree::merge_run`].
+/// Records per lane window in [`merge_runs`]: the 8 KiB vertical buffers
+/// dsort pass 2 merges from at the benchmark's REC16 geometry.
+const RUNS_WINDOW_RECORDS: usize = 512;
+
+/// The frontier-batch k-way merge kernel.
 ///
-/// Batching pays for a runner-up walk plus a galloping probe per tree
-/// consultation.  When runs barely interleave (splitter-partitioned,
-/// presorted data) batches are long and that cost amortizes to nothing;
-/// when they interleave record-by-record (uniform random keys) every
-/// batch is 1 and the probe is pure overhead on top of the scalar path.
-/// This policy backs off exponentially on batch-of-1 results: after each
-/// failed probe it serves twice as many scalar steps (batch 1, no probe)
-/// before probing again, up to [`BatchPolicy::MAX_BACKOFF`], and resets
-/// on any successful batch.  A fully interleaved stream thus pays only
-/// `O(log)` probes plus one per `MAX_BACKOFF` records — overhead that
-/// vanishes — while a regime change to run-structured data is still
-/// noticed within `MAX_BACKOFF` records.
-#[derive(Debug)]
-pub struct BatchPolicy {
-    /// Scalar steps remaining before the next probe.
-    skip: u32,
-    /// Scalar steps the *next* failed probe will cost.
-    backoff: u32,
+/// Each lane is a sorted run read through a *window*: the lane's buffered
+/// records (in dsort pass 2, its head vertical buffer).  The caller owns
+/// the windows; the kernel keeps, per lane, the window's length, the
+/// offset of its first unread record, and the keys of that record and of
+/// the window's last record in dense arrays, so a step's `O(k)` scan never
+/// touches a buffer.
+///
+/// Protocol: every lane starts *drained*.  Before each [`step`], refill
+/// every lane [`pop_drained`] yields with [`open`] (its next window) or
+/// [`close`] (the run is exhausted).  A step emits one sorted batch and
+/// drains exactly one lane: the merge needs at most as many steps as
+/// windows.
+///
+/// [`step`]: FrontierMerge::step
+/// [`pop_drained`]: FrontierMerge::pop_drained
+/// [`open`]: FrontierMerge::open
+/// [`close`]: FrontierMerge::close
+pub struct FrontierMerge {
+    fmt: RecordFormat,
+    /// Lanes not yet closed, ascending.
+    live: Vec<usize>,
+    /// Key of the first unread record of each lane's window.
+    heads: Vec<u64>,
+    /// Key of the last record of each lane's window.
+    tails: Vec<u64>,
+    /// Byte offset of the first unread record in each lane's window.
+    pos: Vec<usize>,
+    /// Byte length of each lane's window.
+    lens: Vec<usize>,
+    /// Lanes awaiting [`FrontierMerge::open`] or [`FrontierMerge::close`].
+    drained: Vec<usize>,
+    /// `(lane, start, end)` byte ranges the current step takes, lane order.
+    cut: Vec<(usize, usize, usize)>,
+    /// The current step's concatenated, then sorted, records.
+    batch: Vec<u8>,
+    scratch: SortScratch,
 }
 
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BatchPolicy {
-    /// First backoff after a failed probe (doubles per consecutive miss).
-    pub const MIN_BACKOFF: u32 = 4;
-    /// Backoff ceiling: the most records a newly run-structured stretch
-    /// can go unnoticed.
-    pub const MAX_BACKOFF: u32 = 1024;
-
-    /// A fresh policy that probes on its first step.
-    pub fn new() -> Self {
-        BatchPolicy {
-            skip: 0,
-            backoff: Self::MIN_BACKOFF,
+impl FrontierMerge {
+    /// A merge over `k` lanes, every one drained.
+    pub fn new(fmt: RecordFormat, k: usize) -> Self {
+        FrontierMerge {
+            fmt,
+            live: (0..k).collect(),
+            heads: vec![0; k],
+            tails: vec![0; k],
+            pos: vec![0; k],
+            lens: vec![0; k],
+            // Popped from the back: lanes refill in lane order.
+            drained: (0..k).rev().collect(),
+            cut: Vec::with_capacity(k),
+            batch: Vec::new(),
+            scratch: SortScratch::new(),
         }
     }
 
-    /// [`LoserTree::merge_run`] behind the backoff gate: the batch length
-    /// (in records) to emit from the current winner's `lane_data`.
-    pub fn merge_run(
-        &mut self,
-        tree: &LoserTree,
-        fmt: crate::record::RecordFormat,
-        lane_data: &[u8],
-    ) -> usize {
-        if self.skip > 0 {
-            self.skip -= 1;
-            return 1;
+    /// The next lane whose window must be refilled before the next step.
+    pub fn pop_drained(&mut self) -> Option<usize> {
+        self.drained.pop()
+    }
+
+    /// Give a drained lane its next window: a non-empty, sorted run of
+    /// whole records.  [`FrontierMerge::step`] must then read the same
+    /// bytes for this lane until the lane drains again.
+    pub fn open(&mut self, lane: usize, window: &[u8]) {
+        let rb = self.fmt.record_bytes;
+        assert!(
+            !window.is_empty() && window.len().is_multiple_of(rb),
+            "a window holds at least one whole record"
+        );
+        self.heads[lane] = self.fmt.key(window);
+        self.tails[lane] = self.fmt.key(&window[window.len() - rb..]);
+        self.pos[lane] = 0;
+        self.lens[lane] = window.len();
+    }
+
+    /// Retire a drained lane whose run is exhausted.
+    pub fn close(&mut self, lane: usize) {
+        let i = self
+            .live
+            .binary_search(&lane)
+            .expect("close a lane that is still live");
+        self.live.remove(i);
+    }
+
+    /// One frontier step over the windows `window(lane)` returns (the
+    /// whole window, as given to [`FrontierMerge::open`]): the next sorted
+    /// batch of the merge, or `None` once every lane is closed.
+    ///
+    /// 1. **Bound**: `B = (key, lane)` is the least `(tail key, lane)` of
+    ///    the live lanes; call its lane `L*`.
+    /// 2. **Cut**: each lane gives up the prefix of its unread records
+    ///    that precedes every record not yet buffered — `key ≤ B.key`
+    ///    below `L*`, the whole window at `L*`, `key < B.key` above it.
+    /// 3. **Sort**: the prefixes, concatenated in lane order, are stably
+    ///    sorted by key, so ties fall in lane order and then run order —
+    ///    the scalar loser tree's `(key, lane, position)` order exactly.
+    ///    A batch from one lane is already sorted and is returned in
+    ///    place, without a copy.
+    ///
+    /// Every record left behind is at least `B` in `(key, lane)` order and
+    /// every record taken at most `B`, so batches concatenate into the
+    /// merged stream.  The step drains `L*`.
+    ///
+    /// # Panics
+    /// Panics if a drained lane was neither opened nor closed.
+    pub fn step<'a>(&'a mut self, window: impl Fn(usize) -> &'a [u8]) -> Option<&'a [u8]> {
+        assert!(
+            self.drained.is_empty(),
+            "refill every drained lane before the next step"
+        );
+        let (&first, rest) = self.live.split_first()?;
+        let (mut star, mut bound) = (first, self.tails[first]);
+        for &j in rest {
+            if self.tails[j] < bound {
+                (star, bound) = (j, self.tails[j]);
+            }
         }
-        let n = tree.merge_run(fmt, lane_data);
-        if n <= 1 {
-            self.skip = self.backoff;
-            self.backoff = (self.backoff * 2).min(Self::MAX_BACKOFF);
-        } else {
-            self.backoff = Self::MIN_BACKOFF;
+
+        let fmt = self.fmt;
+        self.cut.clear();
+        for &j in &self.live {
+            let head = self.heads[j];
+            if head > bound || (head == bound && j > star) {
+                continue;
+            }
+            let (start, len) = (self.pos[j], self.lens[j]);
+            let unread = &window(j)[start..len];
+            debug_assert_eq!(window(j).len(), len, "lane {j}'s window changed");
+            let end = if j == star {
+                len
+            } else {
+                let n = if j < star {
+                    run_len(fmt, unread, |k| k <= bound)
+                } else {
+                    run_len(fmt, unread, |k| k < bound)
+                };
+                let end = start + n * fmt.record_bytes;
+                self.heads[j] = fmt.key(&unread[end - start..]);
+                end
+            };
+            self.pos[j] = end;
+            self.cut.push((j, start, end));
         }
-        n
+        self.drained.push(star);
+
+        if let [(lane, start, end)] = self.cut[..] {
+            return Some(&window(lane)[start..end]);
+        }
+        self.batch.clear();
+        for &(lane, start, end) in &self.cut {
+            self.batch.extend_from_slice(&window(lane)[start..end]);
+        }
+        sort_records(fmt, &mut self.batch, &mut self.scratch);
+        Some(&self.batch)
     }
 }
 
-/// Merge fully-materialized sorted runs of records (test and ablation
-/// helper; the FG merge stage streams through buffers instead).
-pub fn merge_runs(format: crate::record::RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
-    if runs.is_empty() {
-        return Vec::new();
-    }
-    let rb = format.record_bytes;
-    let mut offsets = vec![0usize; runs.len()];
-    let head = |run: &[u8], off: usize| -> Option<MergeKey> {
-        if off < run.len() {
-            Some((format.key(&run[off..off + rb]), 0))
-        } else {
-            None
+/// Merge fully-materialized sorted runs of records through the
+/// [`FrontierMerge`] kernel, reading each run through 512-record windows.
+/// Ties between runs resolve in run order.
+pub fn merge_runs(format: RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
+    let window_bytes = RUNS_WINDOW_RECORDS * format.record_bytes;
+    // Each run's current window is `runs[j][starts[j]..ends[j]]`.
+    let mut starts = vec![0usize; runs.len()];
+    let mut ends = vec![0usize; runs.len()];
+    let mut merge = FrontierMerge::new(format, runs.len());
+    let mut out = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
+    loop {
+        while let Some(j) = merge.pop_drained() {
+            if ends[j] == runs[j].len() {
+                merge.close(j);
+                continue;
+            }
+            starts[j] = ends[j];
+            ends[j] = (starts[j] + window_bytes).min(runs[j].len());
+            merge.open(j, &runs[j][starts[j]..ends[j]]);
         }
-    };
-    let mut tree = LoserTree::new(
-        runs.iter()
-            .zip(&offsets)
-            .map(|(run, &off)| head(run, off))
-            .collect(),
-    );
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut policy = BatchPolicy::new();
-    while let Some((lane, _)) = tree.winner() {
-        let off = offsets[lane];
-        // MergeRun fast path: emit the whole batch that beats the
-        // runner-up with one copy, then replay the tree once.
-        let batch = policy.merge_run(&tree, format, &runs[lane][off..]) * rb;
-        out.extend_from_slice(&runs[lane][off..off + batch]);
-        offsets[lane] += batch;
-        tree.replace(lane, head(runs[lane], offsets[lane]));
+        match merge.step(|j| &runs[j][starts[j]..ends[j]]) {
+            Some(batch) => out.extend_from_slice(batch),
+            None => return out,
+        }
     }
-    out
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RecordFormat;
 
     fn drain(lanes: Vec<Vec<u64>>) -> Vec<u64> {
         let mut cursors = vec![0usize; lanes.len()];
@@ -347,86 +396,144 @@ mod tests {
         }
     }
 
-    #[test]
-    fn runner_up_tracks_second_best() {
-        let mut tree = LoserTree::new(vec![Some((3, 0)), Some((1, 0)), Some((2, 0))]);
-        assert_eq!(tree.winner(), Some((1, (1, 0))));
-        assert_eq!(tree.runner_up(), Some((2, (2, 0))));
-        tree.replace(1, Some((9, 0)));
-        assert_eq!(tree.winner(), Some((2, (2, 0))));
-        assert_eq!(tree.runner_up(), Some((0, (3, 0))));
-        tree.replace(2, None);
-        tree.replace(0, None);
-        assert_eq!(tree.winner(), Some((1, (9, 0))));
-        assert_eq!(tree.runner_up(), None);
-        assert_eq!(LoserTree::new(vec![Some((5, 0))]).runner_up(), None);
-    }
-
-    #[test]
-    fn merge_run_batches_up_to_runner_up() {
+    /// REC16 records with the given keys; byte 8 stamps `lane` and byte 9
+    /// the record's position, so tie order is visible in the output.
+    fn stamped(lane: u8, keys: &[u64]) -> Vec<u8> {
         let f = RecordFormat::REC16;
-        let mk = |keys: &[u64]| {
-            let mut out = vec![0u8; keys.len() * 16];
-            for (i, &k) in keys.iter().enumerate() {
-                f.set_key(&mut out[i * 16..(i + 1) * 16], k);
-            }
-            out
-        };
-        // Lane 0 holds 1,2,3,7; lane 1 holds 4: the batch is the 3 records
-        // strictly below the runner-up's key.
-        let lane0 = mk(&[1, 2, 3, 7]);
-        let tree = LoserTree::new(vec![Some((1, 0)), Some((4, 0))]);
-        assert_eq!(tree.merge_run(f, &lane0), 3);
-        // Equal keys: the lower lane index wins ties, so lane 0 may emit
-        // through the tie; a higher-lane winner must stop before it.
-        let lane = mk(&[4, 4, 5]);
-        let tree = LoserTree::new(vec![Some((4, 0)), Some((4, 0))]);
-        assert_eq!(tree.winner(), Some((0, (4, 0))));
-        assert_eq!(tree.merge_run(f, &lane), 2);
-        let tree = LoserTree::new(vec![None, Some((4, 0))]);
-        assert_eq!(tree.winner(), Some((1, (4, 0))));
-        assert_eq!(tree.merge_run(f, &lane), 3); // lane 0 exhausted: drain
-    }
-
-    #[test]
-    fn batch_policy_backs_off_exponentially() {
-        let f = RecordFormat::REC16;
-        let mk = |keys: &[u64]| {
-            let mut out = vec![0u8; keys.len() * 16];
-            for (i, &k) in keys.iter().enumerate() {
-                f.set_key(&mut out[i * 16..(i + 1) * 16], k);
-            }
-            out
-        };
-        // Fully interleaved: the winner's next key loses to the
-        // runner-up, so every probe yields a batch of 1.
-        let lane = mk(&[4, 10, 10]);
-        let tree = LoserTree::new(vec![Some((5, 0)), Some((4, 0))]);
-        let mut policy = BatchPolicy::new();
-        assert_eq!(tree.winner(), Some((1, (4, 0))));
-        // First call probes (batch 1), then serves MIN_BACKOFF scalar
-        // steps, probes again, serves 2x, and so on.
-        let mut probes = 0;
-        let mut steps = 0u32;
-        let total = BatchPolicy::MIN_BACKOFF * 8;
-        for _ in 0..total {
-            let before = policy.skip;
-            assert_eq!(policy.merge_run(&tree, f, &lane), 1);
-            if before == 0 {
-                probes += 1;
-            }
-            steps += 1;
+        let mut out = vec![0u8; keys.len() * 16];
+        for (i, (rec, &k)) in out.chunks_exact_mut(16).zip(keys).enumerate() {
+            f.set_key(rec, k);
+            rec[8] = lane;
+            rec[9] = i as u8;
         }
-        assert!(
-            probes <= 4,
-            "{probes} probes in {steps} interleaved steps (want O(log))"
+        out
+    }
+
+    /// A record's `(key, lane, position)`.
+    type Tag = (u64, u8, u8);
+
+    /// The tag of each record in `bytes`.
+    fn tagged(bytes: &[u8]) -> Vec<Tag> {
+        let f = RecordFormat::REC16;
+        f.records(bytes).map(|r| (f.key(r), r[8], r[9])).collect()
+    }
+
+    /// Run the kernel over lanes that are each a single window; per step,
+    /// the batch and the lane it drained.
+    fn steps(windows: &[Vec<u8>]) -> Vec<(Vec<Tag>, usize)> {
+        let mut merge = FrontierMerge::new(RecordFormat::REC16, windows.len());
+        let mut opened = vec![false; windows.len()];
+        let mut out = Vec::new();
+        loop {
+            while let Some(j) = merge.pop_drained() {
+                if opened[j] || windows[j].is_empty() {
+                    merge.close(j);
+                } else {
+                    opened[j] = true;
+                    merge.open(j, &windows[j]);
+                }
+            }
+            let Some(batch) = merge.step(|j| &windows[j]) else {
+                return out;
+            };
+            let batch = tagged(batch);
+            out.push((batch, merge.drained[0]));
+        }
+    }
+
+    #[test]
+    fn bound_is_the_least_tail_with_lane_tiebreak() {
+        // Tails 3, 9, 2: lane 2 bounds the first step; lane 1 (below it)
+        // gives up its 1, lane 0's head 3 is past the bound.
+        let got = steps(&[stamped(0, &[3]), stamped(1, &[1, 9]), stamped(2, &[2])]);
+        assert_eq!(
+            got,
+            vec![
+                (vec![(1, 1, 0), (2, 2, 0)], 2),
+                (vec![(3, 0, 0)], 0),
+                (vec![(9, 1, 1)], 1),
+            ]
         );
-        // A successful batch resets the backoff.
-        let runny = mk(&[1, 2, 3]);
-        let tree = LoserTree::new(vec![Some((1, 0)), Some((9, 0))]);
-        let mut policy = BatchPolicy::new();
-        assert_eq!(policy.merge_run(&tree, f, &runny), 3);
-        assert_eq!(policy.backoff, BatchPolicy::MIN_BACKOFF);
+        // Equal tails: the lower lane bounds, and drains alone.
+        let got = steps(&[stamped(0, &[5]), stamped(1, &[5])]);
+        assert_eq!(got, vec![(vec![(5, 0, 0)], 0), (vec![(5, 1, 0)], 1)]);
+        // One live lane drains window by window; empty lanes never bound.
+        let got = steps(&[vec![], stamped(1, &[4, 6]), vec![]]);
+        assert_eq!(got, vec![(vec![(4, 1, 0), (6, 1, 1)], 1)]);
+        assert!(steps(&[]).is_empty());
+    }
+
+    #[test]
+    fn cut_takes_ties_through_the_bound_only_below_its_lane() {
+        // Lane 1's tail 4 bounds: lane 0 gives up everything below 7.
+        let got = steps(&[stamped(0, &[1, 2, 3, 7]), stamped(1, &[4])]);
+        assert_eq!(
+            got[0],
+            (vec![(1, 0, 0), (2, 0, 1), (3, 0, 2), (4, 1, 0)], 1)
+        );
+        // A lane below the bound's lane takes its ties with the bound's key
+        // and they sort ahead of the bound lane's.
+        let got = steps(&[stamped(0, &[4, 4, 5]), stamped(1, &[4])]);
+        assert_eq!(got[0], (vec![(4, 0, 0), (4, 0, 1), (4, 1, 0)], 1));
+        // A lane above it keeps them: lane 0 bounds and drains alone.
+        let got = steps(&[stamped(0, &[4]), stamped(1, &[4, 4, 5])]);
+        assert_eq!(got[0], (vec![(4, 0, 0)], 0));
+        assert_eq!(got[1], (vec![(4, 1, 0), (4, 1, 1), (5, 1, 2)], 1));
+    }
+
+    #[test]
+    fn one_lane_batches_are_returned_in_place() {
+        let f = RecordFormat::REC16;
+        let windows = [stamped(0, &[1, 2]), stamped(1, &[8, 9])];
+        let mut merge = FrontierMerge::new(f, 2);
+        while let Some(j) = merge.pop_drained() {
+            merge.open(j, &windows[j]);
+        }
+        let batch = merge.step(|j| &windows[j]).expect("a batch");
+        assert_eq!(batch.as_ptr(), windows[0].as_ptr());
+        assert_eq!(batch.len(), windows[0].len());
+    }
+
+    #[test]
+    fn interleaved_runs_take_at_most_one_step_per_window() {
+        // Fully interleaved lanes (lane l holds l, l + k, l + 2k, ...): a
+        // per-record tournament's worst case.  The kernel still drains one
+        // window per step, and emits the scalar merge's order.
+        let f = RecordFormat::REC16;
+        for (k, per_lane) in [(2usize, 64usize), (7, 100), (64, 1500)] {
+            let runs: Vec<Vec<u8>> = (0..k)
+                .map(|l| {
+                    let keys: Vec<u64> = (0..per_lane).map(|i| (i * k + l) as u64).collect();
+                    stamped(l as u8, &keys)
+                })
+                .collect();
+            let refs: Vec<&[u8]> = runs.iter().map(|r| r.as_slice()).collect();
+            let keys: Vec<u64> = f.records(&merge_runs(f, &refs)).map(|r| f.key(r)).collect();
+            assert_eq!(keys, (0..(k * per_lane) as u64).collect::<Vec<u64>>());
+
+            let window = 16 * 16;
+            let mut merge = FrontierMerge::new(f, k);
+            let mut offs = vec![0usize; k];
+            let mut starts = vec![0usize; k];
+            let mut steps = 0usize;
+            loop {
+                while let Some(j) = merge.pop_drained() {
+                    if offs[j] == runs[j].len() {
+                        merge.close(j);
+                    } else {
+                        starts[j] = offs[j];
+                        offs[j] = (offs[j] + window).min(runs[j].len());
+                        merge.open(j, &runs[j][starts[j]..offs[j]]);
+                    }
+                }
+                if merge.step(|j| &runs[j][starts[j]..offs[j]]).is_none() {
+                    break;
+                }
+                steps += 1;
+            }
+            let windows = k * (per_lane * 16).div_ceil(window);
+            assert!(steps <= windows, "k {k}: {steps} steps > {windows} windows");
+        }
     }
 
     #[test]

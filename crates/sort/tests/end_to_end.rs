@@ -280,6 +280,21 @@ fn dsort_linear_uniform() {
     check_dsort_linear(&SortConfig::test_default(4, 2048));
 }
 
+/// The merge's windows are pass 2's vertical buffers, so the window size
+/// must not change the output: from one-record windows to a whole run per
+/// window, both dsort variants match the reference sort exactly.  Uniform
+/// 64-bit keys are distinct here, so equal key sequences and an equal
+/// record multiset mean byte-identical output.
+#[test]
+fn dsort_variants_exact_across_window_sizes() {
+    for records in [1usize, 256] {
+        let mut cfg = SortConfig::test_default(4, 4096);
+        cfg.vertical_buf_bytes = records * cfg.record.record_bytes;
+        check_dsort(&cfg);
+        check_dsort_linear(&cfg);
+    }
+}
+
 #[test]
 fn dsort_linear_all_equal() {
     let mut cfg = SortConfig::test_default(3, 1536);

@@ -66,3 +66,62 @@ fn healthy_run_unaffected_by_injection_api() {
     disks[0].fail_after_ops(u64::MAX); // explicit "healthy"
     run_dsort(&cfg, &disks).expect("healthy run succeeds");
 }
+
+/// A disk failure at any operation of dsort — sampling, pass 1 or pass 2 —
+/// must end the run with `Err` promptly.  The shape is the benchmark's
+/// dsort geometry at 4 x 8192 records (16 KiB blocks, 64 KiB runs, 8 KiB
+/// vertical buffers), where a failure inside pass 1 used to leave the
+/// receive stages of other nodes waiting in the fabric for a sender that
+/// had been torn down.  Each run gets its own deadline, so a hang fails
+/// the test in seconds instead of holding the suite.
+#[test]
+fn dsort_fails_promptly_at_every_disk_op() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let mut cfg = SortConfig::test_default(4, 8192);
+    cfg.block_bytes = 16 << 10;
+    cfg.run_bytes = 64 << 10;
+    cfg.vertical_buf_bytes = 8 << 10;
+    let run = |fail_at: Option<u64>| {
+        let cfg = cfg.clone();
+        let (tx, rx) = mpsc::channel();
+        let sort = std::thread::spawn(move || {
+            let disks = provision(&cfg);
+            if let Some(n) = fail_at {
+                disks[0].fail_after_ops(n);
+            }
+            let res = run_dsort(&cfg, &disks);
+            let stats = disks[0].stats();
+            let _ = tx.send((res.map(|_| ()), stats.read_ops + stats.write_ops));
+        });
+        // A hung sort cannot be joined; its thread dies with the process.
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("dsort with node 0 failing at op {fail_at:?} hung"));
+        sort.join().expect("sort thread");
+        outcome
+    };
+    let (healthy, ops) = run(None);
+    healthy.expect("healthy run succeeds");
+    assert!(ops > 40, "the sweep must reach past pass 1 ({ops} ops)");
+    // The last few ops (the striped output's coalesced writes) vary with
+    // message arrival, so a run may finish before reaching op `n`.
+    let mut failed = 0;
+    for n in 0..ops {
+        match run(Some(n)) {
+            (Err(err), _) => {
+                failed += 1;
+                assert!(
+                    err.to_string().contains("disk failed"),
+                    "op {n}: the error should carry the root cause: {err}"
+                );
+            }
+            (Ok(()), done) => assert!(done <= n, "op {n} failed but the run succeeded"),
+        }
+    }
+    assert!(
+        failed * 10 >= ops * 9,
+        "only {failed} of {ops} runs hit the failure"
+    );
+}

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use fg_sort::chunks;
 use fg_sort::columnsort::{boundary_merge, columnsort, sort_columns, transpose, untranspose};
 use fg_sort::kernels::{sort_records_using, Kernel, SortScratch};
-use fg_sort::merge::{merge_runs, LoserTree};
+use fg_sort::merge::{merge_runs, FrontierMerge, LoserTree};
 use fg_sort::record::{partition_of, ExtKey, RecordFormat};
 
 /// Build records with distinct payloads so stability is observable.
@@ -347,8 +347,79 @@ proptest! {
             tree.replace(lane, head(&runs[lane], offsets[lane]));
         }
 
-        // merge_runs takes the batched MergeRun path.
+        // merge_runs runs the frontier-batch kernel.
         let batched = merge_runs(f, &run_refs);
         prop_assert_eq!(&batched, &oracle);
+    }
+
+    /// The frontier-batch kernel emits the scalar LoserTree oracle's
+    /// stream byte for byte, whatever the window sizes: keys in 0..40 make
+    /// cross-lane ties common, lanes may be empty, exhaust early, or hold
+    /// one-record windows, and the lane stamped in each payload makes the
+    /// tie order visible.
+    #[test]
+    fn frontier_merge_matches_scalar_oracle(
+        lanes in vec(vec(0u64..40, 0..60), 0..12),
+        windows in vec(vec(1usize..10, 1..6), 12),
+    ) {
+        let f = RecordFormat::REC16;
+        let rb = f.record_bytes;
+        let runs: Vec<Vec<u8>> = lanes
+            .iter()
+            .enumerate()
+            .map(|(lane, keys)| {
+                let mut keys = keys.clone();
+                keys.sort_unstable();
+                let mut bytes = records_with_payloads(f, &keys);
+                for rec in bytes.chunks_exact_mut(rb) {
+                    rec[10] = lane as u8;
+                }
+                bytes
+            })
+            .collect();
+        let k = runs.len();
+
+        let mut oracle = Vec::new();
+        if k > 0 {
+            let mut offsets = vec![0usize; k];
+            let head = |run: &[u8], off: usize| -> Option<(u64, u64)> {
+                (off < run.len()).then(|| (f.key(&run[off..off + rb]), 0))
+            };
+            let mut tree = LoserTree::new(
+                runs.iter().zip(&offsets).map(|(r, &o)| head(r, o)).collect(),
+            );
+            while let Some((lane, _)) = tree.winner() {
+                let off = offsets[lane];
+                oracle.extend_from_slice(&runs[lane][off..off + rb]);
+                offsets[lane] += rb;
+                tree.replace(lane, head(&runs[lane], offsets[lane]));
+            }
+        }
+
+        // Lane j's n-th window holds windows[j][n % len] records.
+        let mut merge = FrontierMerge::new(f, k);
+        let mut starts = vec![0usize; k];
+        let mut ends = vec![0usize; k];
+        let mut opened = vec![0usize; k];
+        let mut got = Vec::new();
+        loop {
+            while let Some(j) = merge.pop_drained() {
+                if ends[j] == runs[j].len() {
+                    merge.close(j);
+                    continue;
+                }
+                let sizes = &windows[j];
+                let records = sizes[opened[j] % sizes.len()];
+                opened[j] += 1;
+                starts[j] = ends[j];
+                ends[j] = (starts[j] + records * rb).min(runs[j].len());
+                merge.open(j, &runs[j][starts[j]..ends[j]]);
+            }
+            match merge.step(|j| &runs[j][starts[j]..ends[j]]) {
+                Some(batch) => got.extend_from_slice(batch),
+                None => break,
+            }
+        }
+        prop_assert_eq!(&got, &oracle);
     }
 }
