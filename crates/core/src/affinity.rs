@@ -24,8 +24,7 @@ use crate::profile::current_tid;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PinMode {
     /// Assign cores `0, 1, 2, …` round-robin over every online core, in
-    /// thread spawn order (stage/replica threads first, then sources,
-    /// then sinks — so stage threads get the distinct cores first).
+    /// stage/replica thread spawn order.
     RoundRobin,
     /// Round-robin over an explicit core list (e.g. one NUMA node, or
     /// every other core to skip SMT siblings).  Must be non-empty.

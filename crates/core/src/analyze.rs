@@ -106,7 +106,7 @@ impl PrefetchFinding {
 /// A queue-level finding from the depth-gauge time series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueFinding {
-    /// Queue name as wired (`p[1]`, `recycle/g0`, …).
+    /// Queue name as wired (`p[0]`, `p[1]`, `in/read`, …).
     pub name: String,
     /// The queue's capacity.
     pub capacity: usize,
@@ -124,7 +124,7 @@ pub struct QueueFinding {
 /// not retries).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContentionFinding {
-    /// Queue name as wired (`csort/in`, `recycle/g0`, …).
+    /// Queue name as wired (`csort/in`, `p[0]`, `in/read`, …).
     pub name: String,
     /// Failed position CASes on the lock-free ring.
     pub cas_retries: u64,
@@ -251,11 +251,14 @@ pub(crate) const ALLOC_CHURN_PER_SEC: f64 = 1_000.0;
 /// where the plan assumed dedicated cores.
 pub(crate) const OVERSUBSCRIBED_SWITCH_RATE: f64 = 500.0;
 
-/// The runtime's implicit source/sink threads: real stages for timing
-/// purposes, but not candidates for "the limiting stage" (their work is
-/// the framework's, not the program's).
-fn is_source_or_sink(name: &str) -> bool {
-    name.ends_with("/source") || name.ends_with("/sink")
+/// Whether `queue` holds a pipeline's free buffers: the input of the
+/// pipeline's first stage, `<pipeline>[0]`, or `in/<stage>` when that
+/// stage is virtual.
+fn is_pool_queue(report: &Report, queue: &str) -> bool {
+    report.pipelines.iter().any(|p| {
+        queue.strip_suffix("[0]") == Some(p.name.as_str())
+            || p.stages.first().map(|s| format!("in/{s}")).as_deref() == Some(queue)
+    })
 }
 
 /// Metric-name prefix of the live per-stage busy counter (nanoseconds).
@@ -341,7 +344,6 @@ fn stage_diagnoses(rows: &[Row]) -> Vec<StageDiagnosis> {
 /// divided by the worker count, not the sum itself.
 fn limiting_stage(rows: &[Row]) -> Option<String> {
     rows.iter()
-        .filter(|r| !is_source_or_sink(&r.name))
         .max_by_key(|r| r.busy / r.workers.max(1) as u32)
         .filter(|r| r.busy > Duration::ZERO)
         .map(|r| r.name.clone())
@@ -475,9 +477,6 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
         }
     }
     for d in &stages {
-        if is_source_or_sink(&d.name) {
-            continue;
-        }
         if Some(&d.name) == limiting.as_ref() {
             continue;
         }
@@ -517,9 +516,9 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
                 q.full_frac * 100.0
             ));
         }
-        if q.empty_frac > PINNED_FRAC && q.name.starts_with("recycle/") {
+        if q.empty_frac > PINNED_FRAC && is_pool_queue(report, &q.name) {
             recommendations.push(format!(
-                "recycle queue `{}` was empty in {:.0}% of samples — every buffer was \
+                "pool queue `{}` was empty in {:.0}% of samples — every buffer was \
                  in flight; the pool may be under-provisioned (add buffers to the \
                  pipeline)",
                 q.name,
@@ -653,7 +652,7 @@ pub fn diagnose_with_trace(
             ns as f64 / cp.total_ns as f64 * 100.0
         };
         // Only worth a line when one stage really owns the path.
-        if pct > DOMINANT_FRAC * 100.0 && !is_source_or_sink(stage) {
+        if pct > DOMINANT_FRAC * 100.0 {
             d.recommendations.push(format!(
                 "stage `{stage}` carries {pct:.0}% of the end-to-end critical path \
                  across the traced rounds — per-round evidence agreeing with (or \
@@ -1425,10 +1424,8 @@ mod tests {
                 stage("fast-up", 100, 5, 80),   // backpressured by the slow stage
                 stage("slow", 100, 5, 5),       // the bottleneck
                 stage("fast-down", 100, 80, 5), // starved behind it
-                stage("p/source", 100, 0, 95),
-                stage("p/sink", 100, 95, 0),
             ],
-            threads_spawned: 5,
+            threads_spawned: 3,
             ..Report::default()
         }
     }
@@ -1669,10 +1666,12 @@ mod tests {
     }
 
     #[test]
-    fn sources_and_sinks_never_limit() {
+    fn idle_stages_never_limit() {
+        // Stages that spent all their time waiting did no work that could
+        // bound the pipeline.
         let r = Report {
             wall: Duration::from_millis(100),
-            stages: vec![stage("p/source", 100, 0, 0), stage("p/sink", 100, 0, 0)],
+            stages: vec![stage("fill", 100, 100, 0), stage("drain", 100, 40, 60)],
             threads_spawned: 2,
             ..Report::default()
         };
@@ -1787,16 +1786,25 @@ mod tests {
     fn dry_recycle_pool_flagged() {
         use crate::stats::QueueDepth;
         let mut r = report();
-        r.queues = vec![QueueDepth {
-            name: "recycle/g0".into(),
-            capacity: 4,
-            max_depth: 4,
-            spsc: false,
-            flavor: "lockfree".into(),
+        // The pool is the first stage's input queue; `p[1]` is a plain
+        // link whose emptiness says nothing about the pool.
+        r.pipelines = vec![crate::stats::PipelineShape {
+            name: "p".into(),
+            stages: vec!["fast-up".into(), "slow".into(), "fast-down".into()],
         }];
+        r.queues = ["p[0]", "p[1]"]
+            .map(|name| QueueDepth {
+                name: name.into(),
+                capacity: 4,
+                max_depth: 4,
+                spsc: false,
+                flavor: "lockfree".into(),
+            })
+            .to_vec();
         let point = |depth: u64, ms: u64| {
             let reg = crate::metrics::MetricsRegistry::new();
-            reg.gauge("core/queue_depth/recycle/g0").set(depth);
+            reg.gauge("core/queue_depth/p[0]").set(depth);
+            reg.gauge("core/queue_depth/p[1]").set(depth);
             TimestampedSnapshot {
                 elapsed: Duration::from_millis(ms),
                 snapshot: reg.snapshot(),
@@ -1807,7 +1815,8 @@ mod tests {
         assert!(d
             .recommendations
             .iter()
-            .any(|r| r.contains("recycle/g0") && r.contains("under-provisioned")));
+            .any(|r| r.contains("p[0]") && r.contains("under-provisioned")));
+        assert!(!d.recommendations.iter().any(|r| r.contains("p[1]")));
     }
 
     fn report_with_contention(retries: u64, items: u64) -> Report {
@@ -1956,10 +1965,8 @@ mod tests {
             let reg = crate::metrics::MetricsRegistry::new();
             reg.counter(&format!("{STAGE_BUSY_PREFIX}s"))
                 .add(ms * 500_000);
-            reg.gauge(&format!("{QUEUE_CAPACITY_PREFIX}recycle/g0"))
-                .set(4);
-            reg.gauge(&format!("{QUEUE_DEPTH_PREFIX}recycle/g0"))
-                .set(depth);
+            reg.gauge(&format!("{QUEUE_CAPACITY_PREFIX}p[0]")).set(4);
+            reg.gauge(&format!("{QUEUE_DEPTH_PREFIX}p[0]")).set(depth);
             reg.counter("disk/d0/prefetch_hit").add(hits);
             reg.counter("disk/d0/prefetch_miss").add(misses);
             TimestampedSnapshot {
@@ -1974,7 +1981,7 @@ mod tests {
         ];
         let d = diagnose_window(&w).unwrap();
         let q = &d.queue_findings[0];
-        assert_eq!((q.name.as_str(), q.capacity), ("recycle/g0", 4));
+        assert_eq!((q.name.as_str(), q.capacity), ("p[0]", 4));
         assert!((q.empty_frac - 2.0 / 3.0).abs() < 1e-9);
         assert!((q.full_frac - 1.0 / 3.0).abs() < 1e-9);
         // Only the window's deltas count: 0 hits, 40 misses.

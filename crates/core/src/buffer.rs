@@ -2,9 +2,9 @@
 //!
 //! A buffer corresponds to one *block* of data for a high-latency transfer
 //! (a disk block, a communication block).  Buffers are allocated once, in a
-//! small fixed pool per pipeline, and recycled from the sink back to the
-//! source, so total buffer memory stays bounded regardless of how many
-//! *rounds* a computation runs.
+//! small fixed pool per pipeline, and recycled from the pipeline's last
+//! stage back to its first, so total buffer memory stays bounded
+//! regardless of how many *rounds* a computation runs.
 //!
 //! Every buffer is **tied to the pipeline it was allocated for** (the paper,
 //! §IV: "each buffer is tied to a specific pipeline"); conveying it through a
@@ -60,8 +60,8 @@ pub struct Buffer {
     round: u64,
     trace_id: u64,
     /// Free-form metadata a stage may attach for downstream stages (e.g. a
-    /// column index, a run number).  Reset to zero when the source recycles
-    /// the buffer into a new round.
+    /// column index, a run number).  Reset to zero when the pipeline's
+    /// first stage begins a new round with the buffer.
     pub meta: u64,
 }
 
@@ -83,7 +83,8 @@ impl Buffer {
         self.pipeline
     }
 
-    /// The round in which the source injected this buffer (0-based).
+    /// The round the pipeline's first stage began with this buffer
+    /// (0-based).
     pub fn round(&self) -> u64 {
         self.round
     }

@@ -20,8 +20,8 @@
 //! actuators themselves:
 //!
 //! * **round boundaries only** — a farm width change parks replicas at the
-//!   admission gate *between* rounds (never mid-buffer), pool growth
-//!   injects fresh buffers at the source's recycle loop, and depth changes
+//!   admission gate *between* rounds (never mid-buffer), pool growth adds
+//!   fresh buffers as a pipeline's first stage begins a round, and depth changes
 //!   only affect read-ahead issued for subsequent reads;
 //! * **hysteresis** — a proposal must repeat for `confirm` consecutive
 //!   decision ticks before it is applied, and after every actuation the
@@ -66,12 +66,12 @@ pub trait DepthActuator: Send + Sync {
 
 /// Live handle on one pipeline's buffer pool.
 ///
-/// The pool itself is the recycle loop: buffers circulate source → stages
-/// → sink → recycle queue → source.  Growing the pool means the source
-/// injects a fresh buffer instead of waiting on the recycle queue;
-/// shrinking means it drops a recycled buffer instead of reusing it.  Both
-/// happen at the source's round boundary, so the pool resizes without ever
-/// touching a buffer a stage holds.
+/// The pool itself is the recycle loop: buffers circulate from the first
+/// stage through the chain and back into the first stage's input queue.
+/// Growing the pool means the first stage adds fresh buffers to that
+/// queue; shrinking means it drops a recycled buffer instead of beginning
+/// a round with it.  Both happen as the first stage begins a round, so the
+/// pool resizes without ever touching a buffer a stage holds.
 #[derive(Debug)]
 pub struct PoolControl {
     pipeline: String,
@@ -107,8 +107,9 @@ impl PoolControl {
         &self.pipeline
     }
 
-    /// Name of the pipeline's recycle queue (`recycle/g0`, …), which is
-    /// what the windowed diagnosis observes running dry.
+    /// Name of the queue holding the pipeline's free buffers — its first
+    /// stage's input, `p[0]` or `in/<stage>` — which is what the windowed
+    /// diagnosis observes running dry.
     pub fn recycle_name(&self) -> &str {
         &self.recycle_name
     }
@@ -129,15 +130,15 @@ impl PoolControl {
     }
 
     /// Steer toward `n` buffers, clamped to the declared `min..=max`;
-    /// returns the clamped target.  The source converges on it over its
-    /// next few round boundaries.
+    /// returns the clamped target.  The first stage converges on it over
+    /// its next few round boundaries.
     pub fn set_target(&self, n: usize) -> usize {
         let n = n.clamp(self.min, self.max);
         self.target.store(n, Ordering::SeqCst);
         n
     }
 
-    /// Source-side: claim permission to inject one fresh buffer.
+    /// First-stage side: claim permission to add one fresh buffer.
     pub(crate) fn try_grow(&self) -> bool {
         self.size
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| {
@@ -146,7 +147,7 @@ impl PoolControl {
             .is_ok()
     }
 
-    /// Source-side: claim permission to drop one recycled buffer.
+    /// First-stage side: claim permission to drop one recycled buffer.
     pub(crate) fn try_shrink(&self) -> bool {
         self.size
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| {
@@ -756,13 +757,13 @@ mod tests {
 
     #[test]
     fn pool_control_clamps_and_converges() {
-        let pool = PoolControl::new("p", "recycle/g0", 3, 1, 6);
+        let pool = PoolControl::new("p", "p[0]", 3, 1, 6);
         assert_eq!(pool.target(), 3);
         assert_eq!(pool.size(), 3);
         // Clamped to the declared ceiling / floor.
         assert_eq!(pool.set_target(99), 6);
         assert_eq!(pool.set_target(0), 1);
-        // Source-side convergence: shrink three times, then refuse.
+        // First-stage convergence: shrink three times, then refuse.
         assert!(pool.try_shrink());
         assert!(pool.try_shrink());
         assert_eq!(pool.size(), 1);

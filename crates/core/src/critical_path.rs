@@ -2,13 +2,14 @@
 //!
 //! The flight recorder ([`crate::trace`]) gives every traced buffer a
 //! per-round causal id and logs a [`SpanRec`] for each transition the
-//! buffer makes — source inject, stage accept, the stage's own work, the
-//! convey, the sink's recycle.  [`critical_path`] inverts that log: it
+//! buffer makes — the first stage's inject, each later stage's accept, a
+//! stage's own work, the convey, the last stage's recycle.
+//! [`critical_path`] inverts that log: it
 //! regroups spans by trace id to rebuild each buffer's **round timeline**
 //! across threads, then attributes the round's end-to-end latency to the
 //! stages on it with a priority sweep: every instant of the round is
 //! credited to exactly one covering span, and *active* spans (work,
-//! convey, inject, recycle) always outrank *wait* spans (accept,
+//! convey, recycle) always outrank *wait* spans (inject, accept,
 //! turnstile) — a consumer's blocked accept overlaps the producer's work
 //! on the very buffer it is waiting for, and the work is where the time
 //! really went.  Within a class the earlier span wins, so nested
@@ -35,7 +36,7 @@ use crate::trace::{SpanRec, ThreadLog, TraceKind, IO_PIPELINE};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathSegment {
     /// Task name of the thread that recorded the span (`read`, `sort#1`,
-    /// `p/source`, …).
+    /// …).
     pub stage: String,
     /// What happened.
     pub kind: TraceKind,
@@ -55,13 +56,13 @@ pub struct PathSegment {
 pub struct RoundPath {
     /// Pipeline the buffer belongs to.
     pub pipeline: u32,
-    /// Round in which the source injected it.
+    /// Round the pipeline's first stage began with it.
     pub round: u64,
     /// The causal id stitching the segments together.
     pub trace_id: u64,
-    /// Earliest segment start (normally the source inject).
+    /// Earliest segment start (normally the first stage's inject).
     pub start_ns: u64,
-    /// Latest segment end (normally the sink recycle).
+    /// Latest segment end (normally the last stage's recycle).
     pub end_ns: u64,
     /// Segments in timeline order (by start, then end).
     pub segments: Vec<PathSegment>,
@@ -216,7 +217,12 @@ pub fn critical_path(logs: &[ThreadLog]) -> CriticalPath {
     // Wait spans measure a thread being blocked; whatever overlaps them
     // (typically the upstream stage's work on this very buffer) is where
     // the time actually went.
-    let is_wait = |k: TraceKind| matches!(k, TraceKind::Accept | TraceKind::TurnWait);
+    let is_wait = |k: TraceKind| {
+        matches!(
+            k,
+            TraceKind::SourceInject | TraceKind::Accept | TraceKind::TurnWait
+        )
+    };
 
     let mut rounds: Vec<RoundPath> = Vec::with_capacity(by_id.len());
     for (trace_id, mut spans) in by_id {
@@ -381,20 +387,18 @@ mod tests {
         assert_eq!(r.queued_ns(), 150);
     }
 
-    /// The satellite scenario: a 3-stage pipeline whose middle stage is
-    /// deliberately slow.  Two rounds, hand-built with realistic
-    /// inject → accept → work → convey → … → recycle timelines.
+    /// A 3-stage pipeline whose middle stage is deliberately slow.  Two
+    /// rounds, hand-built with realistic inject → work → convey → accept
+    /// → … → recycle timelines: `read` begins each round and `write`
+    /// returns its buffer to the pool.
     fn slow_middle_logs() -> Vec<ThreadLog> {
         let mut read = Vec::new();
         let mut slow = Vec::new();
         let mut write = Vec::new();
-        let mut source = Vec::new();
-        let mut sink = Vec::new();
         for round in 0..2u64 {
             let tid = round + 1;
             let t = round * 10_000; // rounds pipeline 10µs apart
-            source.push(span(TraceKind::SourceInject, 0, round, tid, t, t + 100));
-            read.push(span(TraceKind::Accept, 0, round, tid, t + 100, t + 200));
+            read.push(span(TraceKind::SourceInject, 0, round, tid, t, t + 200));
             read.push(span(TraceKind::Work, 0, round, tid, t + 200, t + 700));
             read.push(span(TraceKind::Convey, 0, round, tid, t + 700, t + 800));
             slow.push(span(TraceKind::Accept, 0, round, tid, t + 800, t + 900));
@@ -403,22 +407,19 @@ mod tests {
             slow.push(span(TraceKind::Convey, 0, round, tid, t + 7_900, t + 8_000));
             write.push(span(TraceKind::Accept, 0, round, tid, t + 8_000, t + 8_100));
             write.push(span(TraceKind::Work, 0, round, tid, t + 8_100, t + 8_600));
-            write.push(span(TraceKind::Convey, 0, round, tid, t + 8_600, t + 8_700));
-            sink.push(span(
+            write.push(span(
                 TraceKind::Recycle,
                 0,
                 round,
                 tid,
+                t + 8_600,
                 t + 8_700,
-                t + 8_800,
             ));
         }
         vec![
-            log("p/source", source),
             log("p/read", read),
             log("p/slow", slow),
             log("p/write", write),
-            log("p/sink", sink),
         ]
     }
 
@@ -428,14 +429,23 @@ mod tests {
         assert_eq!(cp.rounds.len(), 2);
         for (i, r) in cp.rounds.iter().enumerate() {
             assert_eq!(r.round, i as u64);
-            assert_eq!(r.dur_ns(), 8_800);
+            assert_eq!(r.dur_ns(), 8_700);
+            // The journey starts at the first stage's inject and ends at
+            // the last stage's recycle.
+            assert_eq!(r.segments[0].kind, TraceKind::SourceInject);
+            assert_eq!(r.segments[0].stage, "read");
+            let last = r.segments.last().unwrap();
+            assert_eq!(
+                (last.stage.as_str(), last.kind),
+                ("write", TraceKind::Recycle)
+            );
             assert_eq!(r.queued_ns(), 0);
             let (stage, ns) = r.dominant().unwrap();
             assert_eq!(stage, "slow");
             assert_eq!(ns, 7_200); // accept 100 + work 7000 + convey 100
         }
         assert_eq!(cp.dominant_stage(), Some("slow"));
-        assert_eq!(cp.total_ns, 17_600);
+        assert_eq!(cp.total_ns, 17_400);
         // Specifically the *work* spans carry the path, not its queue ops.
         assert_eq!(cp.kind_total("slow", TraceKind::Work), 14_000);
         assert!(cp.kind_total("slow", TraceKind::Work) > cp.total_ns / 2);
@@ -452,7 +462,7 @@ mod tests {
     fn slowest_round_names_the_concrete_round() {
         let mut logs = slow_middle_logs();
         // Stretch round 1's middle work by 5µs: it becomes the slowest.
-        for s in &mut logs[2].spans {
+        for s in &mut logs[1].spans {
             if s.round == 1 && s.kind == TraceKind::Work {
                 s.end_ns += 5_000;
             }
@@ -469,6 +479,6 @@ mod tests {
         let cp = critical_path(&logs);
         let slow = cp.slowest_round().unwrap();
         assert_eq!(slow.round, 1);
-        assert_eq!(slow.dur_ns(), 13_800);
+        assert_eq!(slow.dur_ns(), 13_700);
     }
 }

@@ -11,16 +11,18 @@
 //!
 //! * each stage runs in its own thread, with bounded buffer queues between
 //!   consecutive stages;
-//! * an implicit **source** injects buffers (one per *round*) and an
-//!   implicit **sink** recycles them, so a fixed pool of buffers services an
+//! * FG's implicit **source** and **sink** are folded into each pipeline's
+//!   first and last stages: the first stage begins one *round* per buffer
+//!   it takes from the pipeline's pool, and the last stage's convey returns
+//!   the buffer to that pool, so a fixed pool of buffers services an
 //!   arbitrarily long computation;
 //! * **disjoint pipelines** on a node support unbalanced communication
 //!   (send and receive pipelines progress at independent rates);
 //! * **intersecting pipelines** share a *common stage* (e.g. a k-way merge)
 //!   that accepts from an explicitly named predecessor pipeline;
 //! * **virtual stages** let k identical stages in separate pipelines share a
-//!   single thread and input queue — and their pipelines' sources and sinks
-//!   collapse too — so hundreds of pipelines don't need hundreds of threads.
+//!   single thread and input queue, so hundreds of pipelines don't need
+//!   hundreds of threads.
 //!
 //! ## Quick start
 //!

@@ -88,7 +88,7 @@ impl Drop for ThreadRegistration {
 
 /// Register the calling thread under `name` for per-thread CPU sampling.
 /// The runtime calls this for every thread it spawns (stages, replicas,
-/// sources, sinks, controller, watchdog, samplers); embedders running
+/// controller, watchdog, samplers); embedders running
 /// their own worker threads (e.g. the I/O scheduler) should too.  Where
 /// `/proc/thread-self` is unavailable the registration is inert: the row
 /// exists but never gains CPU numbers.
@@ -281,7 +281,7 @@ impl StageLedger {
 /// pool buffers (and bytes), and the pool total against an optional
 /// budget.  Attach one to a [`Program`](crate::Program) with
 /// [`Program::set_memory_ledger`](crate::Program::set_memory_ledger);
-/// sources charge the pool as they create/retire buffers, and every stage
+/// first stages charge the pool as they create/retire buffers, and every stage
 /// charges/credits its own row as buffers flow through.  This is the
 /// accounting primitive a daemon's admission control builds on: admit a
 /// program only when `budget - total` covers its pool.
@@ -339,7 +339,8 @@ impl MemoryLedger {
         }))
     }
 
-    /// Charge one pool buffer of `bytes` capacity (a source created it).
+    /// Charge one pool buffer of `bytes` capacity (a pipeline's pool
+    /// gained it).
     pub fn charge_pool(&self, bytes: u64) {
         self.total_buffers.fetch_add(1, Relaxed);
         let now = self.total_bytes.fetch_add(bytes, Relaxed) + bytes;
@@ -926,7 +927,7 @@ fn publish_thread_row(t: &ThreadResources, registry: &MetricsRegistry) {
 }
 
 /// Publish the calling thread's **final** CPU numbers into `registry`.
-/// The runtime calls this as each stage/source/sink thread exits: a
+/// The runtime calls this as each stage thread exits: a
 /// thread that lived shorter than the profiler cadence (or ran with no
 /// profiler attached at all) still leaves its CPU attribution behind,
 /// which is what keeps per-stage rows present for fast runs.  Costs two

@@ -6,15 +6,16 @@
 //! [`Program::add_pipeline`] giving each its chain of stages, then call
 //! [`Program::run`], which:
 //!
-//! * adds a **source** and a **sink** to every pipeline and a bounded queue
-//!   between each pair of consecutive stages,
-//! * allocates each pipeline's buffer pool and recycles buffers
-//!   sink → source so memory stays fixed (§II),
+//! * puts a bounded queue in front of every stage of every pipeline,
+//! * allocates each pipeline's buffer pool into its first stage's input
+//!   queue: FG's **source** and **sink** (§II) are folded into the first
+//!   and last stages, so the first stage begins a round with every free
+//!   buffer it accepts and the last stage's convey recycles the buffer —
+//!   memory stays fixed with no thread of plumbing per pipeline,
 //! * treats a stage appearing in several pipelines as the **common stage**
 //!   of intersecting pipelines (§IV),
-//! * collapses stages declared *virtual* — and, automatically, the sources
-//!   and sinks of their pipelines — onto single shared threads and a single
-//!   shared input queue (§IV, Figure 5(b)),
+//! * collapses stages declared *virtual* onto single shared threads and a
+//!   single shared input queue (§IV, Figure 5(b)),
 //! * spawns one thread per (non-virtualized) stage, runs the program to
 //!   completion, and returns a timing [`Report`].
 
@@ -26,7 +27,7 @@ use crate::buffer::{PipelineId, StageId};
 use crate::error::{FgError, Result};
 use crate::queue::{FlavorKind, Queue, QueueMetrics};
 use crate::runtime;
-use crate::stage::{Port, Registry, ReplicaGroup, Rounds, Stage, StopFlag};
+use crate::stage::{Injector, Port, Registry, ReplicaGroup, Rounds, Stage};
 use crate::stats::Report;
 
 /// Configuration of one pipeline: its buffer pool and round policy.
@@ -63,7 +64,7 @@ impl PipelineCfg {
         self
     }
 
-    /// Set how many rounds the source runs (default: until stopped).
+    /// Set how many rounds the pipeline runs (default: until stopped).
     pub fn rounds(mut self, rounds: Rounds) -> Self {
         self.rounds = rounds;
         self
@@ -100,6 +101,13 @@ impl PipeSpec {
     /// at least `buffers`, else `buffers`.
     fn pool_ceiling(&self) -> usize {
         self.max_buffers.unwrap_or(self.buffers).max(self.buffers)
+    }
+
+    /// Room this pipeline needs in the input queue of its stage at `pos`:
+    /// every buffer of the pool plus the caboose, and at position 0 (the
+    /// pool) one more for a farm's caboose relay, so no push there blocks.
+    fn queue_capacity(&self, pos: usize) -> usize {
+        self.pool_ceiling() + if pos == 0 { 2 } else { 1 }
     }
 }
 
@@ -138,9 +146,9 @@ impl Program {
         }
     }
 
-    /// Pin every runtime thread (stages, replicas, sources, sinks) to a
-    /// core chosen by `mode` at spawn.  Placement is recorded per thread
-    /// in the [`Report`](crate::Report)
+    /// Pin every stage thread (replicas included) to a core chosen by
+    /// `mode` at spawn.  Placement is recorded per thread in the
+    /// [`Report`](crate::Report)
     /// ([`StageStats::core`](crate::StageStats)).  On hosts where
     /// affinity cannot be changed (non-Linux, no `taskset`) threads run
     /// unpinned and record no placement.  Off by default: the OS
@@ -177,22 +185,23 @@ impl Program {
         self.metrics = Some(metrics);
     }
 
-    /// Attach a [`MemoryLedger`](crate::profile::MemoryLedger): sources
-    /// charge the pool as they create (and retire) buffers, and every
-    /// stage charges/credits its per-stage residency row as buffers flow
-    /// through — so at any instant the ledger says which stage holds how
-    /// much of the pool, against the ledger's budget.  Share one ledger
-    /// across programs to account for a whole process.  The ledger rows
+    /// Attach a [`MemoryLedger`](crate::profile::MemoryLedger): each
+    /// pipeline's pool is charged as buffers join it (and credited as they
+    /// retire), and every stage charges/credits its per-stage residency
+    /// row as buffers flow through — so at any instant the ledger says
+    /// which stage holds how much of the pool, against the ledger's
+    /// budget.  Share one ledger across programs to account for a whole
+    /// process.  The ledger rows
     /// land in [`ResourceReport`](crate::profile::ResourceReport) samples
     /// (`GET /resources`, `fgsort --profile`, the watchdog post-mortem).
     pub fn set_memory_ledger(&mut self, ledger: Arc<crate::profile::MemoryLedger>) {
         self.ledger = Some(ledger);
     }
 
-    /// Install a [`TraceSink`](crate::trace::TraceSink): every runtime
-    /// thread (stages, replicas, sources, sinks) gets a flight-recorder
-    /// ring and records a causal span per transition, and every injected
-    /// buffer carries a fresh trace id.  Without a sink the hook sites
+    /// Install a [`TraceSink`](crate::trace::TraceSink): every stage
+    /// thread (replicas included) gets a flight-recorder ring and records
+    /// a causal span per transition, and every round's buffer carries a
+    /// fresh trace id.  Without a sink the hook sites
     /// cost a single never-taken branch.  The sink outlives the run: collect
     /// the log afterwards with
     /// [`TraceSink::collect`](crate::trace::TraceSink::collect) or export
@@ -257,8 +266,7 @@ impl Program {
     }
 
     /// Declare a *virtual* stage: if placed in k pipelines, FG creates one
-    /// thread and one shared input queue instead of k of each, and shares
-    /// the sources and sinks of those pipelines too.
+    /// thread and one shared input queue instead of k of each.
     pub fn add_virtual_stage(&mut self, name: impl Into<String>, stage: Box<dyn Stage>) -> StageId {
         self.push_stage(name.into(), stage, true)
     }
@@ -337,7 +345,8 @@ impl Program {
         id
     }
 
-    /// Declare a pipeline running `chain` (source and sink are implicit).
+    /// Declare a pipeline running `chain`.  Its first stage begins the
+    /// rounds and its last stage returns each buffer to the pool.
     pub fn add_pipeline(&mut self, cfg: PipelineCfg, chain: &[StageId]) -> Result<PipelineId> {
         if chain.is_empty() {
             return Err(FgError::Config(format!(
@@ -428,9 +437,8 @@ impl Program {
                 }
             }
         }
-        // Pipelines sharing a virtual stage form a virtual group; their
-        // round counts must be known (the shared source retires lanes by
-        // count, not by stop()).
+        // Pipelines sharing a virtual stage form a virtual group, whose
+        // lanes end by count, not by stop().
         let groups = self.virtual_groups();
         for (gi, members) in groups.iter().enumerate() {
             if members.len() > 1 {
@@ -489,15 +497,17 @@ impl Program {
         groups
     }
 
-    /// Build every queue, port, source set, and sink set.
+    /// Build every queue, port, and injector.
     fn wire(&mut self) -> Result<runtime::Plan> {
         let registry = Registry::new();
-        let groups = self.virtual_groups();
-        let group_of: HashMap<usize, usize> = groups
-            .iter()
-            .enumerate()
-            .flat_map(|(gi, ms)| ms.iter().map(move |&m| (m, gi)))
-            .collect();
+        // The watchdog needs the flight recorder's activity clock and the
+        // Gantt spans of `enable_tracing` are read off it, so either
+        // implies an (internal, never-exported) sink when none was
+        // installed.
+        let trace_sink = match &self.trace_sink {
+            None if self.trace || self.watchdog.is_some() => Some(crate::trace::TraceSink::new()),
+            sink => sink.clone(),
+        };
 
         // Build a queue, register it for shutdown, and — when a metrics
         // registry is attached — wire up its depth gauge, contention
@@ -526,47 +536,18 @@ impl Program {
             q
         };
 
-        // Per-group shared recycle and sink queues: always MPMC (every
-        // stage of the group discards into the recycle queue, and several
-        // last stages may feed one sink).
-        // Queue capacities admit the pool *ceiling*, not just the starting
-        // pool, so a controller can grow a pool without deadlocking a
-        // too-small queue.
-        let mut recycle_q: Vec<Arc<Queue>> = Vec::new();
-        let mut sink_q: Vec<Arc<Queue>> = Vec::new();
-        for (gi, members) in groups.iter().enumerate() {
-            let cap: usize = members
-                .iter()
-                .map(|&m| self.pipelines[m].pool_ceiling() + 1)
-                .sum();
-            recycle_q.push(reg(format!("recycle/g{gi}"), cap, FlavorKind::LockFree));
-            sink_q.push(reg(format!("sink/g{gi}"), cap, FlavorKind::LockFree));
-        }
-
-        // Stop flags per pipeline, attached to their (possibly shared)
-        // recycle queue.
-        let stops: Vec<Arc<StopFlag>> = (0..self.pipelines.len())
-            .map(|p| {
-                let f = StopFlag::new();
-                f.attach_recycle(Arc::clone(&recycle_q[group_of[&p]]));
-                f
-            })
-            .collect();
-
-        // Shared input queues for virtual stages.
+        // Shared input queues for virtual stages.  A virtual stage that
+        // begins some of its pipelines holds their pools too.
         let mut shared_in: HashMap<usize, Arc<Queue>> = HashMap::new();
         for (sid, slot) in self.stages.iter().enumerate() {
             if slot.is_virtual {
-                let members: Vec<usize> = self
+                let cap: usize = self
                     .pipelines
                     .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.chain.contains(&StageId(sid as u32)))
-                    .map(|(i, _)| i)
-                    .collect();
-                let cap: usize = members
-                    .iter()
-                    .map(|&m| self.pipelines[m].pool_ceiling() + 1)
+                    .filter_map(|p| {
+                        let pos = p.chain.iter().position(|s| s.index() == sid)?;
+                        Some(p.queue_capacity(pos))
+                    })
                     .sum();
                 // Shared (virtual) inputs are fed by many pipelines'
                 // upstreams: never SPSC.  Floor at 2: the lock-free ring
@@ -584,73 +565,41 @@ impl Program {
         }
 
         // Queues along each pipeline.  into_q[p][i] feeds stage i of
-        // pipeline p; out of the last stage is the pipeline's sink queue.
-        // A per-stage queue is specialized to the SPSC ring when exactly
-        // one thread pushes and one pops: the consumer stage has a single
-        // replica (replicas also *push* — they hand the caboose around
-        // their own input queue), and the producer — the group's source
-        // thread for position 0, the upstream stage otherwise — has a
-        // single replica too.  Virtual stages are excluded on both sides
-        // by construction (their shared queue is built above).
+        // pipeline p; into_q[p][0] is also the pipeline's buffer pool,
+        // where the last stage conveys and every stage discards.  A
+        // per-stage queue past position 0 is specialized to the SPSC ring
+        // when exactly one thread pushes and one pops: the consumer stage
+        // has a single replica (replicas also *push* — they hand the
+        // caboose around their own input queue), and so does the upstream
+        // stage.  Virtual stages are excluded on both sides by
+        // construction (their shared queue is built above).
         let mut into_q: Vec<Vec<Arc<Queue>>> = Vec::new();
-        for (pi, pipe) in self.pipelines.iter().enumerate() {
+        for pipe in &self.pipelines {
             let mut qs = Vec::with_capacity(pipe.chain.len());
             for (pos, sid) in pipe.chain.iter().enumerate() {
                 let q = if self.stages[sid.index()].is_virtual {
                     Arc::clone(&shared_in[&sid.index()])
                 } else {
-                    let consumer_single = self.stages[sid.index()].stages.len() == 1;
-                    let producer_single = match pos {
-                        0 => true, // one source thread per group
-                        _ => self.stages[pipe.chain[pos - 1].index()].stages.len() == 1,
-                    };
                     // Proven-exclusive links get the SPSC ring; the rest —
-                    // farm inputs/outputs, whose replicas both pop and
-                    // push (caboose handoff) — get the lock-free MPMC ring.
-                    let kind = if consumer_single && producer_single {
+                    // pools, farm inputs/outputs — get the lock-free MPMC
+                    // ring.
+                    let exclusive = pos > 0
+                        && self.stages[sid.index()].stages.len() == 1
+                        && self.stages[pipe.chain[pos - 1].index()].stages.len() == 1;
+                    let kind = if exclusive {
                         FlavorKind::Spsc
                     } else {
                         FlavorKind::LockFree
                     };
                     reg(
                         format!("{}[{}]", pipe.name, pos),
-                        pipe.pool_ceiling() + 1,
+                        pipe.queue_capacity(pos),
                         kind,
                     )
                 };
                 qs.push(q);
             }
             into_q.push(qs);
-            let _ = pi;
-        }
-
-        // Ports for every stage, in pipeline declaration order.
-        let mut ports: Vec<Vec<Port>> = (0..self.stages.len()).map(|_| Vec::new()).collect();
-        for (pi, pipe) in self.pipelines.iter().enumerate() {
-            let gi = group_of[&pi];
-            for (pos, sid) in pipe.chain.iter().enumerate() {
-                let is_virtual = self.stages[sid.index()].is_virtual;
-                let output = if pos + 1 < pipe.chain.len() {
-                    Arc::clone(&into_q[pi][pos + 1])
-                } else {
-                    Arc::clone(&sink_q[gi])
-                };
-                ports[sid.index()].push(Port {
-                    pipeline: PipelineId(pi as u32),
-                    input: if is_virtual {
-                        None
-                    } else {
-                        Some(Arc::clone(&into_q[pi][pos]))
-                    },
-                    output,
-                    recycle: Arc::clone(&recycle_q[gi]),
-                    rounds: pipe.rounds,
-                    stop: Arc::clone(&stops[pi]),
-                    eos: false,
-                    forwarded: false,
-                    deferred_caboose: false,
-                });
-            }
         }
 
         // Live buffer-pool handles, one per pipeline, only when a
@@ -664,7 +613,7 @@ impl Program {
                 self.controller.as_ref().map(|_| {
                     crate::controller::PoolControl::new(
                         pipe.name.clone(),
-                        format!("recycle/g{}", group_of[&pi]),
+                        into_q[pi][0].name(),
                         pipe.buffers,
                         1,
                         pipe.pool_ceiling(),
@@ -673,38 +622,33 @@ impl Program {
             })
             .collect();
 
-        // Source and sink sets: one each per group.
-        let mut sources = Vec::new();
-        let mut sinks = Vec::new();
-        for (gi, members) in groups.iter().enumerate() {
-            let pipes = members
-                .iter()
-                .map(|&m| runtime::SourcePipe {
-                    pipeline: PipelineId(m as u32),
-                    first: Arc::clone(&into_q[m][0]),
-                    rounds: self.pipelines[m].rounds,
-                    stop: Arc::clone(&stops[m]),
-                    buffers: self.pipelines[m].buffers,
-                    buffer_size: self.pipelines[m].buffer_size,
-                    pool: pools[m].clone(),
-                })
-                .collect();
-            let label = if members.len() == 1 {
-                self.pipelines[members[0]].name.clone()
-            } else {
-                format!("group{gi}")
-            };
-            sources.push(runtime::SourceSet {
-                label: format!("{label}/source"),
-                pipes,
-                recycle: Arc::clone(&recycle_q[gi]),
-            });
-            sinks.push(runtime::SinkSet {
-                label: format!("{label}/sink"),
-                queue: Arc::clone(&sink_q[gi]),
-                recycle: Arc::clone(&recycle_q[gi]),
-                members: members.len(),
-            });
+        // Ports for every stage, in pipeline declaration order, sharing
+        // their pipeline's injector, which seeds the pool.
+        let mut ports: Vec<Vec<Port>> = (0..self.stages.len()).map(|_| Vec::new()).collect();
+        for (pi, pipe) in self.pipelines.iter().enumerate() {
+            let pipeline = PipelineId(pi as u32);
+            let injector = Injector::seeded(
+                pipeline,
+                pipe,
+                Arc::clone(&into_q[pi][0]),
+                pools[pi].clone(),
+                self.ledger.clone(),
+                trace_sink.clone(),
+            );
+            for (pos, sid) in pipe.chain.iter().enumerate() {
+                let is_virtual = self.stages[sid.index()].is_virtual;
+                ports[sid.index()].push(Port {
+                    pipeline,
+                    input: (!is_virtual).then(|| Arc::clone(&into_q[pi][pos])),
+                    // The last stage conveys into the pool.
+                    output: Arc::clone(&into_q[pi][(pos + 1) % pipe.chain.len()]),
+                    injector: Arc::clone(&injector),
+                    first: pos == 0,
+                    eos: false,
+                    forwarded: false,
+                    deferred_caboose: false,
+                });
+            }
         }
 
         // Stage tasks (one per replica; ordinary stages have one replica).
@@ -742,11 +686,9 @@ impl Program {
         Ok(runtime::Plan {
             registry,
             tasks,
-            sources,
-            sinks,
             trace: self.trace,
             metrics: self.metrics.clone(),
-            trace_sink: self.trace_sink.clone(),
+            trace_sink,
             trace_group: self.trace_group,
             watchdog: self.watchdog.clone(),
             controller: self.controller.clone(),

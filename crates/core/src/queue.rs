@@ -7,12 +7,12 @@
 //! CPU to other stages while a high-latency operation is pending elsewhere.
 //!
 //! Queues are multi-producer multi-consumer because *virtual* stages share a
-//! single queue among many pipelines, and several stages may discard buffers
-//! into the same recycle queue.  Three flavors share one API: a
-//! mutex-guarded deque (the conservative baseline and property-test
-//! oracle), a bounded lock-free MPMC ring with per-slot sequence numbers
-//! (Vyukov-style; the planner's default for farm inputs, recycle and sink
-//! queues, and virtual shared inputs), and — when the planner can prove a
+//! single queue among many pipelines, and every stage of a pipeline may
+//! discard buffers into its pool (the first stage's input queue).  Three
+//! flavors share one API: a mutex-guarded deque (the conservative baseline
+//! and property-test oracle), a bounded lock-free MPMC ring with per-slot
+//! sequence numbers (Vyukov-style; the planner's default for pools, farm
+//! inputs, and virtual shared inputs), and — when the planner can prove a
 //! queue has exactly one producer and one consumer thread (a plain
 //! stage-to-stage link with no replication on either side) — a lock-free
 //! SPSC ring.

@@ -1,6 +1,6 @@
 //! The one place a runtime thread records its transitions.
 //!
-//! Every runtime thread — stage, replica, source, sink — owns a
+//! Every stage thread (each replica of a farm included) owns a
 //! [`Recorder`].  Each queue operation goes through it once, and it feeds
 //! every instrument from that single call: the always-on totals behind the
 //! thread's [`StageStats`] row, the optional flight-recorder ring, the
@@ -121,9 +121,11 @@ impl Recorder {
         (out, t0, t1)
     }
 
-    /// Record an item popped between `t0` and `t1`: a buffer is charged to
-    /// this thread, and a caboose is still progress for the watchdog.
-    pub(crate) fn accepted(&mut self, item: &Item, t0: Instant, t1: Instant) {
+    /// Record an item popped between `t0` and `t1` as a `kind` span
+    /// (`Accept`, or `SourceInject` for a round begun at a first stage): a
+    /// buffer is charged to this thread, and a caboose is still progress
+    /// for the watchdog.
+    pub(crate) fn accepted(&mut self, item: &Item, kind: TraceKind, t0: Instant, t1: Instant) {
         let (pipeline, round, tid) = match item {
             Item::Buf(b) => {
                 self.buffers_in += 1;
@@ -134,7 +136,7 @@ impl Recorder {
             }
             Item::Caboose(p) => (*p, 0, 0),
         };
-        self.span(TraceKind::Accept, pipeline, round, tid, t0, t1);
+        self.span(kind, pipeline, round, tid, t0, t1);
     }
 
     /// A buffer of `bytes` capacity is leaving this thread.
@@ -162,9 +164,9 @@ impl Recorder {
         }
     }
 
-    /// Record a buffer handed on between `t0` and `t1` — conveyed or
-    /// injected downstream, or discarded back to its pool.  Either way its
-    /// round is complete on this thread.
+    /// Record a buffer handed on between `t0` and `t1` — conveyed
+    /// downstream, or returned to its pool.  Either way its round is
+    /// complete on this thread.
     pub(crate) fn emitted(
         &mut self,
         kind: TraceKind,
@@ -174,9 +176,6 @@ impl Recorder {
         t0: Instant,
         t1: Instant,
     ) {
-        if kind != TraceKind::Recycle {
-            self.buffers_out += 1;
-        }
         if let Some(l) = &self.live {
             l.rounds.inc();
         }
@@ -257,16 +256,17 @@ impl Recorder {
 }
 
 /// The ring's blocked intervals as Gantt spans, in ns since `origin`:
-/// accepts are starvation, conveys backpressure.  An ordered farm's
-/// `TurnWait` and the push after it form one convey.
+/// accepts (and a first stage's injects) are starvation, conveys (and
+/// recycles) backpressure.  An ordered farm's `TurnWait` and the push
+/// after it form one convey.
 fn gantt_spans(ring: &SpanRing, origin: Instant) -> Vec<Span> {
     let origin = ring.ns_of(origin);
     let mut spans: Vec<Span> = Vec::new();
     let mut after_turn = false;
     for r in ring.snapshot() {
         let kind = match r.kind {
-            TraceKind::Accept => SpanKind::Accept,
-            TraceKind::Convey | TraceKind::TurnWait => SpanKind::Convey,
+            TraceKind::Accept | TraceKind::SourceInject => SpanKind::Accept,
+            TraceKind::Convey | TraceKind::Recycle | TraceKind::TurnWait => SpanKind::Convey,
             _ => {
                 after_turn = false;
                 continue;

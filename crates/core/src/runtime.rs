@@ -1,53 +1,20 @@
-//! Thread spawning, source/sink loops, and program execution.
+//! Thread spawning and program execution.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::buffer::{Buffer, PipelineId};
 use crate::error::{FgError, Result};
 use crate::metrics::MetricsRegistry;
-use crate::queue::{Item, Queue};
+use crate::queue::Queue;
 use crate::recorder::Recorder;
-use crate::stage::{Port, Registry, ReplicaGroup, Rounds, Stage, StageCtx, StopFlag};
+use crate::stage::{Port, Registry, ReplicaGroup, Stage, StageCtx};
 use crate::stats::{Report, StageStats};
 use crate::trace::{
-    guess_culprit, Postmortem, SpanRing, ThreadPostmortem, ThreadState, TraceKind, TraceSink,
-    WatchdogAction, WatchdogCfg,
+    guess_culprit, Postmortem, SpanRing, ThreadPostmortem, TraceSink, WatchdogAction, WatchdogCfg,
 };
-
-/// One pipeline served by a source set.
-pub(crate) struct SourcePipe {
-    pub(crate) pipeline: PipelineId,
-    pub(crate) first: Arc<Queue>,
-    pub(crate) rounds: Rounds,
-    pub(crate) stop: Arc<StopFlag>,
-    pub(crate) buffers: usize,
-    pub(crate) buffer_size: usize,
-    /// Live pool handle when a controller may resize this pipeline's
-    /// buffer pool; the source grows/shrinks at its round boundary.
-    pub(crate) pool: Option<Arc<crate::controller::PoolControl>>,
-}
-
-/// A source thread: injects rounds for one pipeline, or for all pipelines
-/// of a virtual group (the automatically-virtualized source of §IV).
-pub(crate) struct SourceSet {
-    pub(crate) label: String,
-    pub(crate) pipes: Vec<SourcePipe>,
-    pub(crate) recycle: Arc<Queue>,
-}
-
-/// A sink thread: recycles buffers back to the source(s) and retires after
-/// seeing every member pipeline's caboose.
-pub(crate) struct SinkSet {
-    pub(crate) label: String,
-    pub(crate) queue: Arc<Queue>,
-    pub(crate) recycle: Arc<Queue>,
-    pub(crate) members: usize,
-}
 
 /// A stage ready to run on its own thread.
 pub(crate) struct StageTask {
@@ -64,10 +31,10 @@ pub(crate) struct StageTask {
 pub(crate) struct Plan {
     pub(crate) registry: Arc<Registry>,
     pub(crate) tasks: Vec<StageTask>,
-    pub(crate) sources: Vec<SourceSet>,
-    pub(crate) sinks: Vec<SinkSet>,
     pub(crate) trace: bool,
     pub(crate) metrics: Option<Arc<MetricsRegistry>>,
+    /// The effective sink: the installed one, or an internal one when
+    /// tracing or the watchdog needs the flight recorder.
     pub(crate) trace_sink: Option<Arc<TraceSink>>,
     pub(crate) trace_group: Option<u32>,
     pub(crate) watchdog: Option<WatchdogCfg>,
@@ -80,10 +47,8 @@ pub(crate) struct Plan {
     pub(crate) ledger: Option<Arc<crate::profile::MemoryLedger>>,
 }
 
-/// Round-robin core assigner over the plan's pin map.  Threads draw cores
-/// in spawn order — stage/replica threads first, then sources, then sinks
-/// — so the stage threads claim the distinct cores before the (mostly
-/// blocked) source/sink threads wrap around the list.
+/// Round-robin core assigner over the plan's pin map.  Stage and replica
+/// threads draw cores in spawn order.
 struct CorePlacement {
     cores: Vec<usize>,
     next: usize,
@@ -118,8 +83,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     let Plan {
         registry,
         tasks,
-        sources,
-        sinks,
         trace,
         metrics,
         trace_sink,
@@ -135,13 +98,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     } = plan;
     let mut placement = CorePlacement::new(pin);
 
-    // The watchdog needs the flight recorder's activity clock and the
-    // Gantt spans of `enable_tracing` are read off it, so either implies
-    // an (internal, never-exported) sink when none was installed.
-    let trace_sink = match trace_sink {
-        None if trace || watchdog.is_some() => Some(TraceSink::new()),
-        sink => sink,
-    };
     if let Some(sink) = &trace_sink {
         sink.touch();
     }
@@ -190,47 +146,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
             .map_err(|e| FgError::Config(format!("failed to spawn stage thread: {e}")))?;
         handles.push(handle);
     }
-    for src in sources {
-        let ring = ring_for(&src.label);
-        let sink_ids = trace_sink.clone();
-        let thread_name = format!("{program_name}/{}", src.label);
-        let profile_name = thread_name.clone();
-        let pool_ledger = ledger.clone();
-        let exit_metrics = metrics.clone();
-        let core = placement.assign();
-        let handle = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                let _reg = crate::profile::register_current_thread(profile_name.clone());
-                let stats = run_source(src, ring, sink_ids, core, pool_ledger);
-                if let Some(m) = &exit_metrics {
-                    crate::profile::publish_exit_sample(&profile_name, m);
-                }
-                stats
-            })
-            .map_err(|e| FgError::Config(format!("failed to spawn source thread: {e}")))?;
-        handles.push(handle);
-    }
-    for sink in sinks {
-        let ring = ring_for(&sink.label);
-        let thread_name = format!("{program_name}/{}", sink.label);
-        let profile_name = thread_name.clone();
-        let exit_metrics = metrics.clone();
-        let core = placement.assign();
-        let handle = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                let _reg = crate::profile::register_current_thread(profile_name.clone());
-                let stats = run_sink(sink, ring, core);
-                if let Some(m) = &exit_metrics {
-                    crate::profile::publish_exit_sample(&profile_name, m);
-                }
-                stats
-            })
-            .map_err(|e| FgError::Config(format!("failed to spawn sink thread: {e}")))?;
-        handles.push(handle);
-    }
-
     // Close the observability loop: the controller samples the metrics
     // registry and actuates farm widths, buffer pools, and I/O depths
     // while the stage threads run.  Without a registry it has nothing to
@@ -385,166 +300,6 @@ fn run_stage_thread(
             .add(stats.buffers_in);
     }
     stats
-}
-
-fn run_source(
-    set: SourceSet,
-    ring: Option<Arc<SpanRing>>,
-    trace_sink: Option<Arc<TraceSink>>,
-    core: Option<usize>,
-    ledger: Option<Arc<crate::profile::MemoryLedger>>,
-) -> StageStats {
-    let core = pin_self(core);
-    let mut rec = Recorder::new(ring);
-
-    let index_of = |p: PipelineId| set.pipes.iter().position(|sp| sp.pipeline == p);
-    let mut emitted = vec![0u64; set.pipes.len()];
-    let mut done = vec![false; set.pipes.len()];
-
-    // Seed each pipeline's pool; the source is where pool buffers are
-    // born and retired, so it is where the ledger's process-wide total is
-    // charged and credited.
-    let mut pending: VecDeque<Buffer> = VecDeque::new();
-    for sp in &set.pipes {
-        for _ in 0..sp.buffers {
-            if let Some(l) = &ledger {
-                l.charge_pool(sp.buffer_size as u64);
-            }
-            pending.push_back(Buffer::new(sp.buffer_size, sp.pipeline));
-        }
-    }
-
-    // Emit the caboose for pipeline i; ignores failure during teardown.
-    let emit_caboose = |i: usize, done: &mut Vec<bool>| {
-        if !done[i] {
-            done[i] = true;
-            let _ = set.pipes[i]
-                .first
-                .push(Item::Caboose(set.pipes[i].pipeline));
-        }
-    };
-
-    'outer: loop {
-        if done.iter().all(|&d| d) {
-            break;
-        }
-        // Controller-requested pool growth: inject fresh buffers at round
-        // boundaries. Queues are sized for the pool ceiling, so the extra
-        // buffers can never wedge a full queue.
-        for (i, sp) in set.pipes.iter().enumerate() {
-            if done[i] {
-                continue;
-            }
-            if let Some(pool) = &sp.pool {
-                while pool.try_grow() {
-                    if let Some(l) = &ledger {
-                        l.charge_pool(sp.buffer_size as u64);
-                    }
-                    pending.push_back(Buffer::new(sp.buffer_size, sp.pipeline));
-                }
-            }
-        }
-        // Wait for a free buffer, remembered so the wait can be recorded
-        // against the round the buffer ends up carrying.
-        let mut recycle_wait = None;
-        let mut buf = match pending.pop_front() {
-            Some(b) => b,
-            None => {
-                let (popped, t0, t1) =
-                    rec.blocked(ThreadState::BlockedAccept, || set.recycle.pop());
-                match popped {
-                    Ok(Item::Buf(b)) => {
-                        recycle_wait = Some((t0, t1));
-                        b
-                    }
-                    Ok(Item::Caboose(_)) => continue, // never produced; defensive
-                    Err(_) => {
-                        // Recycle closed: a stop() or program cancellation.
-                        for i in 0..set.pipes.len() {
-                            emit_caboose(i, &mut done);
-                        }
-                        break 'outer;
-                    }
-                }
-            }
-        };
-        let i = match index_of(buf.pipeline()) {
-            Some(i) => i,
-            None => continue, // foreign buffer: impossible, but don't wedge
-        };
-        // Controller-requested pool shrink: retire this recycled buffer
-        // instead of re-injecting it. Only whole buffers at a round boundary
-        // ever leave the pool, so in-flight data is untouched.
-        if set.pipes[i].pool.as_ref().is_some_and(|p| p.try_shrink()) {
-            if let Some(l) = &ledger {
-                l.credit_pool(buf.capacity() as u64);
-            }
-            continue;
-        }
-        if done[i] {
-            continue; // pipeline retired; release the buffer
-        }
-        if set.pipes[i].stop.is_stopped() {
-            emit_caboose(i, &mut done);
-            continue;
-        }
-        if let Rounds::Count(n) = set.pipes[i].rounds {
-            if emitted[i] >= n {
-                emit_caboose(i, &mut done);
-                continue;
-            }
-        }
-        buf.begin_round(emitted[i]);
-        if let Some(s) = &trace_sink {
-            buf.set_trace_id(s.next_trace_id());
-        }
-        let (pipeline, round, tid) = (buf.pipeline(), buf.round(), buf.trace_id());
-        emitted[i] += 1;
-        if let Some((w0, w1)) = recycle_wait {
-            rec.span(TraceKind::Accept, pipeline, round, tid, w0, w1);
-        }
-        let (pushed, t0, t1) = rec.blocked(ThreadState::BlockedConvey, || {
-            set.pipes[i].first.push(Item::Buf(buf))
-        });
-        if pushed.is_err() {
-            break; // cancelled
-        }
-        rec.emitted(TraceKind::SourceInject, pipeline, round, tid, t0, t1);
-        // Emit the caboose eagerly right after the final round so consumers
-        // (e.g. a merge stage) learn about the end of this stream promptly.
-        if let Rounds::Count(n) = set.pipes[i].rounds {
-            if emitted[i] == n {
-                emit_caboose(i, &mut done);
-            }
-        }
-    }
-    rec.finish(set.label, core, None)
-}
-
-fn run_sink(set: SinkSet, ring: Option<Arc<SpanRing>>, core: Option<usize>) -> StageStats {
-    let core = pin_self(core);
-    let mut rec = Recorder::new(ring);
-    let mut remaining = set.members;
-    while remaining > 0 {
-        let (popped, t0, t1) = rec.blocked(ThreadState::BlockedAccept, || set.queue.pop());
-        match popped {
-            Ok(Item::Buf(b)) => {
-                rec.buffers_in += 1;
-                let (pipeline, round, tid) = (b.pipeline(), b.round(), b.trace_id());
-                // The source may already have retired; dropping is fine then.
-                let (_, t0, t1) = rec.blocked(ThreadState::BlockedConvey, || {
-                    set.recycle.push(Item::Buf(b))
-                });
-                rec.emitted(TraceKind::Recycle, pipeline, round, tid, t0, t1);
-            }
-            Ok(caboose) => {
-                remaining -= 1;
-                rec.accepted(&caboose, t0, t1);
-            }
-            Err(_) => break,
-        }
-    }
-    rec.finish(set.label, core, None)
 }
 
 /// Watchdog loop: poll the sink's idle clock; on a stall, assemble and

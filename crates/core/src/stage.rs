@@ -19,7 +19,7 @@
 //!   stages share one thread and one input queue, and buffers from any of
 //!   the member pipelines arrive interleaved (§IV, Figure 5(b)).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -29,14 +29,15 @@ use crate::queue::{Item, Queue};
 use crate::recorder::Recorder;
 use crate::trace::{ThreadState, TraceKind};
 
-/// How many rounds a pipeline's source runs.
+/// How many rounds a pipeline runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rounds {
-    /// The source injects exactly this many buffers, then the caboose.
+    /// The first stage begins exactly this many rounds, then the caboose
+    /// follows the last.
     Count(u64),
-    /// The source keeps injecting recycled buffers until some stage calls
-    /// [`StageCtx::stop`] for this pipeline (used when the stream length is
-    /// known only dynamically, e.g. a receive pipeline).
+    /// The first stage keeps beginning rounds with recycled buffers until
+    /// some stage calls [`StageCtx::stop`] for this pipeline (used when the
+    /// stream length is known only dynamically, e.g. a receive pipeline).
     UntilStopped,
 }
 
@@ -238,35 +239,128 @@ impl Registry {
     }
 }
 
-/// Per-pipeline stop flag shared between stages and the pipeline's source.
-pub(crate) struct StopFlag {
-    stopped: AtomicBool,
-    /// The recycle queue the source blocks on; closed on stop so the source
-    /// wakes up promptly.
-    recycle: parking_lot::Mutex<Option<Arc<Queue>>>,
+/// What a pipeline's first stage makes of a buffer popped from the pool.
+pub(crate) enum Admit {
+    /// The buffer begins a new round; `last` when it is the final round
+    /// of a [`Rounds::Count`] pipeline.
+    Round { buf: Buffer, last: bool },
+    /// The pool shrank by this buffer: pop again.
+    Shrunk,
+    /// The pipeline's rounds are spent or it was stopped: the buffer is
+    /// released and stands for the caboose.
+    End,
 }
 
-impl StopFlag {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(StopFlag {
+/// A pipeline's source, folded into its first stage (FG's implicit
+/// source, §II), and shared by every stage of the pipeline.  The
+/// pipeline's buffer pool lives in the first stage's input queue: the last
+/// stage's convey and every stage's discard land there, and the first
+/// stage's accept turns each free buffer it pops into the next round
+/// (replicas of a farm at position 0 share the count).  Any stage may stop
+/// the pipeline.
+pub(crate) struct Injector {
+    pipeline: PipelineId,
+    pub(crate) rounds: Rounds,
+    /// The pool: the first stage's input queue.
+    pub(crate) pool_queue: Arc<Queue>,
+    stopped: AtomicBool,
+    buffer_size: usize,
+    /// Live pool handle when a controller may resize this pool.
+    pool: Option<Arc<crate::controller::PoolControl>>,
+    /// Charged as pool buffers are born and credited as they retire.
+    ledger: Option<Arc<crate::profile::MemoryLedger>>,
+    /// The program's effective trace sink: each round gets a fresh id.
+    trace: Option<Arc<crate::trace::TraceSink>>,
+    /// Rounds begun so far.
+    begun: AtomicU64,
+}
+
+impl Injector {
+    /// The source of pipeline `pipeline`, declared by `spec`, with its pool
+    /// queue seeded with the pipeline's buffers.
+    pub(crate) fn seeded(
+        pipeline: PipelineId,
+        spec: &crate::program::PipeSpec,
+        pool_queue: Arc<Queue>,
+        pool: Option<Arc<crate::controller::PoolControl>>,
+        ledger: Option<Arc<crate::profile::MemoryLedger>>,
+        trace: Option<Arc<crate::trace::TraceSink>>,
+    ) -> Arc<Self> {
+        let inj = Injector {
+            pipeline,
+            rounds: spec.rounds,
+            pool_queue,
             stopped: AtomicBool::new(false),
-            recycle: parking_lot::Mutex::new(None),
-        })
+            buffer_size: spec.buffer_size,
+            pool,
+            ledger,
+            trace,
+            begun: AtomicU64::new(0),
+        };
+        for _ in 0..spec.buffers {
+            inj.add_buffer();
+        }
+        Arc::new(inj)
     }
 
-    pub(crate) fn attach_recycle(&self, q: Arc<Queue>) {
-        *self.recycle.lock() = Some(q);
+    /// Put one fresh buffer into the pool.
+    fn add_buffer(&self) {
+        if let Some(l) = &self.ledger {
+            l.charge_pool(self.buffer_size as u64);
+        }
+        // Sized for the pool ceiling: a push can only fail on teardown.
+        let _ = self
+            .pool_queue
+            .try_push(Item::Buf(Buffer::new(self.buffer_size, self.pipeline)));
     }
 
+    /// Begin no further rounds.  The caboose dropped into the pool wakes a
+    /// first stage waiting for a free buffer.  Idempotent.
     pub(crate) fn stop(&self) {
-        self.stopped.store(true, Ordering::SeqCst);
-        if let Some(q) = self.recycle.lock().as_ref() {
-            q.close();
+        if !self.stopped.swap(true, Ordering::SeqCst) {
+            // Pool queues hold the pool ceiling plus two items, so this
+            // never finds the queue full; if it ever did, every queued
+            // buffer already stands for the caboose.
+            let _ = self.pool_queue.try_push(Item::Caboose(self.pipeline));
         }
     }
 
-    pub(crate) fn is_stopped(&self) -> bool {
-        self.stopped.load(Ordering::SeqCst)
+    /// Turn a buffer popped from the pool into the next round, the
+    /// caboose, or a retired buffer (see [`Admit`]).  Pool resizes land
+    /// here, at a round boundary, so no buffer a stage holds is touched.
+    pub(crate) fn admit(&self, mut buf: Buffer) -> Admit {
+        if self.pool.as_ref().is_some_and(|p| p.try_shrink()) {
+            if let Some(l) = &self.ledger {
+                l.credit_pool(buf.capacity() as u64);
+            }
+            return Admit::Shrunk;
+        }
+        if self.stopped.load(Ordering::SeqCst) {
+            return Admit::End;
+        }
+        let round = match self.rounds {
+            Rounds::Count(n) => self
+                .begun
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |r| {
+                    (r < n).then_some(r + 1)
+                })
+                .ok(),
+            Rounds::UntilStopped => Some(self.begun.fetch_add(1, Ordering::SeqCst)),
+        };
+        let Some(round) = round else {
+            return Admit::End;
+        };
+        if let Some(pool) = &self.pool {
+            while pool.try_grow() {
+                self.add_buffer();
+            }
+        }
+        buf.begin_round(round);
+        if let Some(s) = &self.trace {
+            buf.set_trace_id(s.next_trace_id());
+        }
+        let last = self.rounds == Rounds::Count(round + 1);
+        Admit::Round { buf, last }
     }
 }
 
@@ -468,30 +562,38 @@ pub(crate) struct Port {
     pub(crate) pipeline: PipelineId,
     /// Input queue; `None` for virtual stages, which use the shared input.
     pub(crate) input: Option<Arc<Queue>>,
+    /// Downstream queue; the pipeline's pool queue at its last stage.
     pub(crate) output: Arc<Queue>,
-    pub(crate) recycle: Arc<Queue>,
-    pub(crate) rounds: Rounds,
-    pub(crate) stop: Arc<StopFlag>,
+    /// The pipeline's source, shared by all its stages.
+    pub(crate) injector: Arc<Injector>,
+    /// Whether this stage is the pipeline's first, which begins rounds.
+    pub(crate) first: bool,
     pub(crate) eos: bool,
     pub(crate) forwarded: bool,
-    /// A caboose popped by `accept_many` in the same batch as preceding
-    /// buffers.  Observing it immediately would mark end-of-stream before
-    /// the stage conveys those buffers, so it is held here and observed on
-    /// the next accept (or during `finish`).
+    /// End of stream seen but not yet observed: a caboose popped by
+    /// `accept_many` in the same batch as preceding buffers, or the final
+    /// round of a counted pipeline just begun at its first stage.
+    /// Observing it at once would mark end-of-stream before the stage
+    /// conveys those buffers, so it is observed on the next accept (or
+    /// during `finish`).
     pub(crate) deferred_caboose: bool,
 }
 
 impl Port {
+    /// Whether this stage is the pipeline's last: it conveys into the pool.
+    fn is_last(&self) -> bool {
+        Arc::ptr_eq(&self.output, &self.injector.pool_queue)
+    }
+
     /// Duplicate this port for another replica of the same stage (shared
-    /// queues, fresh end-of-stream flags).
+    /// queues and injector, fresh end-of-stream flags).
     pub(crate) fn clone_for_replica(&self) -> Port {
         Port {
             pipeline: self.pipeline,
             input: self.input.clone(),
             output: Arc::clone(&self.output),
-            recycle: Arc::clone(&self.recycle),
-            rounds: self.rounds,
-            stop: Arc::clone(&self.stop),
+            injector: Arc::clone(&self.injector),
+            first: self.first,
             eos: false,
             forwarded: false,
             deferred_caboose: false,
@@ -665,14 +767,17 @@ impl StageCtx {
             let mut got = 0;
             let mut caboose = None;
             for item in items.drain(..) {
-                self.rec.accepted(&item, t0, t1);
+                let Some((item, kind)) = self.admit(0, item) else {
+                    continue;
+                };
+                self.rec.accepted(&item, kind, t0, t1);
                 match item {
                     Item::Buf(b) => {
                         out.push(b);
                         got += 1;
                     }
-                    // The queue ends a batch at a caboose, so it can only
-                    // be the final item.
+                    // The queue ends a batch at a caboose; at a first
+                    // stage, buffers after the final round end it too.
                     Item::Caboose(p) => caboose = Some(p),
                 }
             }
@@ -723,10 +828,13 @@ impl StageCtx {
             }
         };
         loop {
+            for idx in 0..self.ports.len() {
+                self.take_deferred_caboose(idx)?;
+            }
             if self.ports.iter().all(|p| p.eos) {
                 return Ok(None);
             }
-            match self.pop(&shared)? {
+            match self.pop(&shared, None)? {
                 Item::Buf(b) => return Ok(Some(b)),
                 // Keep waiting: other member pipelines may still flow.
                 Item::Caboose(p) => self.mark_eos_and_forward(p)?,
@@ -763,7 +871,7 @@ impl StageCtx {
         }
         self.await_admission()?;
         let input = self.input(idx)?;
-        match self.pop(&input)? {
+        match self.pop(&input, Some(idx))? {
             Item::Buf(b) => Ok(Some(b)),
             Item::Caboose(p) => {
                 debug_assert_eq!(p, self.ports[idx].pipeline);
@@ -773,13 +881,47 @@ impl StageCtx {
         }
     }
 
-    /// Pop one item from `input`, charging the wait to starvation and
-    /// recording what arrived.
-    fn pop(&mut self, input: &Queue) -> Result<Item> {
-        let (popped, t0, t1) = self.rec.blocked(ThreadState::BlockedAccept, || input.pop());
-        let item = popped.map_err(|_| FgError::Cancelled)?;
-        self.rec.accepted(&item, t0, t1);
-        Ok(item)
+    /// Pop the next item from `input` (the input of port `idx`, or the
+    /// shared input of a virtual stage), charging the wait to starvation
+    /// and recording what arrived.
+    fn pop(&mut self, input: &Queue, idx: Option<usize>) -> Result<Item> {
+        loop {
+            let (popped, t0, t1) = self.rec.blocked(ThreadState::BlockedAccept, || input.pop());
+            let item = popped.map_err(|_| FgError::Cancelled)?;
+            let idx = match (&item, idx) {
+                (Item::Buf(b), None) => Some(self.port_index(b.pipeline())?),
+                (_, idx) => idx,
+            };
+            let admitted = match idx {
+                Some(idx) => self.admit(idx, item),
+                None => Some((item, TraceKind::Accept)),
+            };
+            if let Some((item, kind)) = admitted {
+                self.rec.accepted(&item, kind, t0, t1);
+                return Ok(item);
+            }
+        }
+    }
+
+    /// Pass an item popped for port `idx` through the pipeline's injector
+    /// when this stage is the pipeline's first: a free buffer begins the
+    /// next round (recorded as an `inject` span), or stands for the
+    /// caboose once the rounds are spent or the pipeline stopped.  `None`
+    /// when the buffer left the pool and there is nothing to accept.
+    fn admit(&mut self, idx: usize, item: Item) -> Option<(Item, TraceKind)> {
+        let port = &mut self.ports[idx];
+        match item {
+            Item::Buf(buf) if port.first => match port.injector.admit(buf) {
+                Admit::Round { buf, last } => {
+                    port.deferred_caboose |= last;
+                    Some((Item::Buf(buf), TraceKind::SourceInject))
+                }
+                Admit::Shrunk => None,
+                Admit::End if port.eos || port.deferred_caboose => None,
+                Admit::End => Some((Item::Caboose(port.pipeline), TraceKind::Accept)),
+            },
+            item => Some((item, TraceKind::Accept)),
+        }
     }
 
     /// Handle a caboose popped from port `idx`: in a replica group, only
@@ -790,8 +932,12 @@ impl StageCtx {
             if !group.observe_caboose(p) {
                 self.ports[idx].eos = true;
                 self.ports[idx].forwarded = true;
+                // Non-blocking.  Past position 0 a relay follows the pop
+                // of the caboose it replaces, so there is room.  A pool
+                // queue that is full holds nothing but items that stand
+                // for the caboose, one for every sibling.
                 if let Some(input) = self.ports[idx].input.clone() {
-                    let _ = input.push(Item::Caboose(p));
+                    let _ = input.try_push(Item::Caboose(p));
                 }
                 return Ok(());
             }
@@ -813,7 +959,7 @@ impl StageCtx {
                 buf.pipeline()
             )));
         }
-        if self.emit(idx, buf, TraceKind::Convey)? {
+        if self.emit(idx, buf, true)? {
             Ok(())
         } else {
             Err(FgError::Cancelled)
@@ -822,17 +968,18 @@ impl StageCtx {
 
     /// Return a buffer straight to its pipeline's buffer pool without
     /// passing it downstream (e.g. a spent input buffer the stage consumed
-    /// wholesale).  Equivalent to conveying it to the pipeline's sink when
-    /// this stage is the last stage of that pipeline.
+    /// wholesale).  Equivalent to conveying it when this stage is the last
+    /// stage of that pipeline.
     pub fn discard(&mut self, buf: Buffer) -> Result<()> {
         let idx = self.port_index(buf.pipeline())?;
-        self.emit(idx, buf, TraceKind::Recycle).map(drop)
+        self.emit(idx, buf, false).map(drop)
     }
 
-    /// Hand `buf` on from port `idx` — downstream for a `Convey`, back to
-    /// the pool for a `Recycle` — and record the hand-off.  Returns
-    /// whether the buffer landed.
-    fn emit(&mut self, idx: usize, buf: Buffer, kind: TraceKind) -> Result<bool> {
+    /// Hand `buf` on from port `idx` — downstream when `conveyed`, back to
+    /// the pool otherwise — and record the hand-off.  A convey out of the
+    /// pipeline's last stage lands in the pool too, so it is recorded as
+    /// the round's `recycle`.  Returns whether the buffer landed.
+    fn emit(&mut self, idx: usize, buf: Buffer, conveyed: bool) -> Result<bool> {
         let (pipeline, round, tid) = (buf.pipeline(), buf.round(), buf.trace_id());
         // Credit the ledger up front: the buffer leaves this stage whether
         // the push lands or the program is cancelled underneath it.
@@ -852,31 +999,44 @@ impl StageCtx {
                 .span(TraceKind::TurnWait, pipeline, round, tid, t0, t1);
         }
         let port = &self.ports[idx];
-        let queue = if kind == TraceKind::Recycle {
-            &port.recycle
+        let recycled = !conveyed || port.is_last();
+        let queue = if recycled {
+            &port.injector.pool_queue
         } else {
             &port.output
         };
-        let (pushed, t0, t1) = self
-            .rec
-            .blocked(ThreadState::BlockedConvey, || queue.push(Item::Buf(buf)));
-        // A closed recycle queue means the pipeline is stopping: the
-        // discarded buffer's memory is simply released.
-        let landed = pushed.is_ok() || kind == TraceKind::Recycle;
+        let (landed, t0, t1) = self.rec.blocked(ThreadState::BlockedConvey, || {
+            if recycled {
+                // Never blocks: while the pipeline runs, its pool has room
+                // for every buffer.  A pool that is full holds the
+                // cabooses of a pipeline that has ended (and a closed one
+                // a program torn down), so the buffer is simply released.
+                let _ = queue.try_push(Item::Buf(buf));
+                true
+            } else {
+                queue.push(Item::Buf(buf)).is_ok()
+            }
+        });
         if landed {
+            let kind = if recycled {
+                TraceKind::Recycle
+            } else {
+                TraceKind::Convey
+            };
             if let Some(group) = &self.replica_group {
                 group.finish_turn(pipeline, round);
             }
+            self.rec.buffers_out += u64::from(conveyed);
             self.rec.emitted(kind, pipeline, round, tid, t0, t1);
         }
         Ok(landed)
     }
 
-    /// Stop an [`Rounds::UntilStopped`] pipeline: its source emits the
-    /// caboose and retires.  Idempotent.
+    /// Stop an [`Rounds::UntilStopped`] pipeline: its first stage begins
+    /// no further rounds and passes the caboose downstream.  Idempotent.
     pub fn stop(&mut self, pipeline: PipelineId) -> Result<()> {
         let idx = self.port_index(pipeline)?;
-        self.ports[idx].stop.stop();
+        self.ports[idx].injector.stop();
         Ok(())
     }
 
@@ -892,27 +1052,35 @@ impl StageCtx {
     fn mark_eos_and_forward(&mut self, pipeline: PipelineId) -> Result<()> {
         let idx = self.port_index(pipeline)?;
         self.ports[idx].eos = true;
-        if !self.ports[idx].forwarded {
-            self.ports[idx].forwarded = true;
-            if self.ports[idx]
-                .output
-                .push(Item::Caboose(pipeline))
-                .is_err()
-                && !self.registry.is_cancelled()
-            {
-                return Err(FgError::Cancelled);
-            }
+        let port = &mut self.ports[idx];
+        // The last stage has nothing downstream: its output is the pool.
+        let forward = !port.forwarded && !port.is_last();
+        port.forwarded = true;
+        if forward
+            && port.output.push(Item::Caboose(pipeline)).is_err()
+            && !self.registry.is_cancelled()
+        {
+            return Err(FgError::Cancelled);
         }
         Ok(())
     }
 
     /// Post-run cleanup executed by the runtime: stop `UntilStopped`
-    /// pipelines, drain unconsumed inputs (recycling their buffers), and
-    /// guarantee exactly one caboose went downstream per pipeline.
+    /// pipelines and the pipelines this stage begins, drain unconsumed
+    /// inputs (recycling their buffers), and guarantee exactly one caboose
+    /// went downstream per pipeline.
     pub(crate) fn finish(&mut self) {
         for idx in 0..self.ports.len() {
-            if matches!(self.ports[idx].rounds, Rounds::UntilStopped) {
-                self.ports[idx].stop.stop();
+            let first = self.ports[idx].first;
+            if first || matches!(self.ports[idx].injector.rounds, Rounds::UntilStopped) {
+                self.ports[idx].injector.stop();
+            }
+            // Nothing is upstream of a first stage: its pipeline's stream
+            // ends here.
+            if first && !self.ports[idx].eos {
+                self.ports[idx].deferred_caboose = false;
+                let p = self.ports[idx].pipeline;
+                let _ = self.observe_caboose(idx, p);
             }
         }
         // Drain the shared input (virtual stage) until every lane ends.
@@ -920,7 +1088,12 @@ impl StageCtx {
             while self.ports.iter().any(|p| !p.eos) {
                 match shared.pop() {
                     Ok(Item::Buf(b)) => {
-                        let _ = self.discard(b);
+                        // Free buffers of the lanes this stage begins are
+                        // released; the rest go back to their pools.
+                        let idx = self.port_index(b.pipeline());
+                        if idx.is_ok_and(|i| !self.ports[i].first) {
+                            let _ = self.discard(b);
+                        }
                     }
                     Ok(Item::Caboose(p)) => {
                         let _ = self.mark_eos_and_forward(p);
@@ -939,7 +1112,8 @@ impl StageCtx {
                 };
                 match input.pop() {
                     Ok(Item::Buf(b)) => {
-                        let _ = self.ports[idx].recycle.push(Item::Buf(b));
+                        // Back to the pool, never blocking (see `emit`).
+                        let _ = self.ports[idx].injector.pool_queue.try_push(Item::Buf(b));
                     }
                     Ok(Item::Caboose(p)) => {
                         let _ = self.observe_caboose(idx, p);
@@ -950,13 +1124,11 @@ impl StageCtx {
         }
         // Last resort (queues closed mid-drain): make sure a caboose was at
         // least attempted downstream for every pipeline.
-        for idx in 0..self.ports.len() {
-            if !self.ports[idx].forwarded {
-                self.ports[idx].forwarded = true;
-                let _ = self.ports[idx]
-                    .output
-                    .try_push(Item::Caboose(self.ports[idx].pipeline));
+        for port in &mut self.ports {
+            if !port.forwarded && !port.is_last() {
+                let _ = port.output.try_push(Item::Caboose(port.pipeline));
             }
+            port.forwarded = true;
         }
     }
 }

@@ -36,7 +36,7 @@ pub struct Span {
     pub end_ns: u64,
 }
 
-/// Timing record for one stage (or one source/sink) of a finished program.
+/// Timing record for one stage thread of a finished program.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageStats {
     /// Stage name as given at construction.
@@ -92,7 +92,7 @@ impl StageStats {
 /// Lifetime depth statistics of one queue of a finished program.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueueDepth {
-    /// Queue name as assigned during wiring (e.g. `p[1]`, `recycle/g0`).
+    /// Queue name as assigned during wiring (e.g. `p[0]`, `in/read`).
     pub name: String,
     /// Maximum number of items the queue could hold.
     pub capacity: usize,
@@ -115,7 +115,7 @@ pub struct QueueDepth {
 pub struct PipelineShape {
     /// Pipeline name as declared.
     pub name: String,
-    /// Stage names in chain order (excludes the implicit source and sink).
+    /// Stage names in chain order.
     pub stages: Vec<String>,
 }
 
@@ -124,10 +124,11 @@ pub struct PipelineShape {
 pub struct Report {
     /// Wall-clock duration of the whole program (all pipelines).
     pub wall: Duration,
-    /// One entry per stage thread, in declaration order, followed by the
-    /// source and sink threads.
+    /// One entry per stage thread (each replica of a farm included), in
+    /// declaration order.
     pub stages: Vec<StageStats>,
-    /// Number of OS threads the program created (stages + sources + sinks).
+    /// Number of OS threads the program created: one per stage, replicas
+    /// counted.
     /// Virtual stages and virtual pipelines reduce this count; experiment A2
     /// measures exactly this field.
     pub threads_spawned: usize,
@@ -235,8 +236,8 @@ impl Report {
     /// `width` time buckets across the program's wall time, with `#` for
     /// busy, `.` for starved (waiting to accept), and `o` for
     /// backpressured (waiting to convey).  Stages without spans (tracing
-    /// disabled, or sources/sinks) are drawn from their aggregate numbers
-    /// as a single proportion bar prefixed with `~`.
+    /// disabled) are drawn from their aggregate numbers as a single
+    /// proportion bar prefixed with `~`.
     ///
     /// Requires the program to have run with
     /// [`Program::enable_tracing`](crate::Program::enable_tracing) for

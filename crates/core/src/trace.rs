@@ -117,9 +117,9 @@ impl TraceCtx {
 /// What a [`SpanRec`] measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {
-    /// The source injected a buffer for a new round (waiting for a free
-    /// buffer from the recycle queue is part of the preceding gap, not of
-    /// this span; the span covers the push into the first stage's queue).
+    /// A pipeline's first stage popped a free buffer from the pipeline's
+    /// pool and began a new round with it.  This is the first stage's
+    /// accept: the span covers the wait for the buffer and its pop.
     SourceInject,
     /// A stage waited on and popped its input queue.
     Accept,
@@ -129,7 +129,8 @@ pub enum TraceKind {
     /// A stage pushed a buffer into its output queue (includes time blocked
     /// on a full queue).
     Convey,
-    /// The sink returned a buffer to its pipeline's recycle queue.
+    /// A stage returned a buffer to its pipeline's pool: the last stage's
+    /// convey, or any stage's discard.
     Recycle,
     /// An ordered farm replica waited at the turnstile for its round's turn
     /// to emit.
@@ -203,14 +204,14 @@ impl TraceKind {
         })
     }
 
-    /// True for span kinds that consume a buffer from upstream.
+    /// True for span kinds that take a buffer into a stage.
     fn is_intake(self) -> bool {
-        matches!(self, TraceKind::Accept | TraceKind::Recycle)
+        matches!(self, TraceKind::Accept | TraceKind::SourceInject)
     }
 
-    /// True for span kinds that hand a buffer downstream.
+    /// True for span kinds that hand a buffer out of a stage.
     fn is_emit(self) -> bool {
-        matches!(self, TraceKind::Convey | TraceKind::SourceInject)
+        matches!(self, TraceKind::Convey | TraceKind::Recycle)
     }
 }
 
@@ -1026,8 +1027,7 @@ impl Postmortem {
 /// with a bounded pool, a hoarder starves the source and wedges everyone
 /// else, so the largest positive intake/emit imbalance wins.  When no
 /// thread is imbalanced (e.g. a genuinely slow stage), fall back to the
-/// thread longest in a blocked state, preferring stage threads over the
-/// implicit source/sink (whose blocking is a symptom, not a cause).
+/// thread longest in a blocked state.
 pub fn guess_culprit(threads: &[ThreadPostmortem]) -> Option<String> {
     let active = |t: &&ThreadPostmortem| t.state != ThreadState::Done;
     let hoarder = threads
@@ -1038,8 +1038,6 @@ pub fn guess_culprit(threads: &[ThreadPostmortem]) -> Option<String> {
     if let Some(t) = hoarder {
         return Some(t.thread.clone());
     }
-    let is_plumbing =
-        |t: &&ThreadPostmortem| t.thread.ends_with("/source") || t.thread.ends_with("/sink");
     let blocked = |t: &&ThreadPostmortem| {
         matches!(
             t.state,
@@ -1050,15 +1048,7 @@ pub fn guess_culprit(threads: &[ThreadPostmortem]) -> Option<String> {
         .iter()
         .filter(active)
         .filter(blocked)
-        .filter(|t| !is_plumbing(t))
         .max_by_key(|t| t.in_state_for)
-        .or_else(|| {
-            threads
-                .iter()
-                .filter(active)
-                .filter(blocked)
-                .max_by_key(|t| t.in_state_for)
-        })
         .map(|t| t.thread.clone())
 }
 
@@ -1280,18 +1270,25 @@ mod tests {
             emits,
             last_spans: Vec::new(),
         };
+        // The first stage took in three buffers and handed none on; the
+        // last stage, waiting on it, blocked longest.
         let threads = vec![
-            t("p/source", ThreadState::BlockedAccept, 60, 0, 3),
             t("p/hoard", ThreadState::BlockedAccept, 50, 3, 0),
             t("p/down", ThreadState::BlockedAccept, 55, 0, 0),
         ];
         assert_eq!(guess_culprit(&threads).as_deref(), Some("p/hoard"));
-        // Without an imbalance, the longest-blocked stage thread wins and
-        // the implicit source is skipped despite blocking longest.
+        // Without an imbalance, the thread longest in its state wins: the
+        // slow stage went busy before its neighbours ran dry.
         let threads = vec![
-            t("p/source", ThreadState::BlockedAccept, 60, 3, 3),
+            t("p/fill", ThreadState::BlockedAccept, 38, 3, 3),
             t("p/slow", ThreadState::Busy, 40, 3, 3),
-            t("p/sink", ThreadState::BlockedAccept, 59, 3, 3),
+            t("p/drain", ThreadState::BlockedAccept, 39, 3, 3),
+        ];
+        assert_eq!(guess_culprit(&threads).as_deref(), Some("p/slow"));
+        // Finished threads are never blamed.
+        let threads = vec![
+            t("p/done", ThreadState::Done, 90, 3, 0),
+            t("p/slow", ThreadState::Busy, 40, 3, 3),
         ];
         assert_eq!(guess_culprit(&threads).as_deref(), Some("p/slow"));
     }

@@ -45,8 +45,8 @@ fn virtual_stage_mid_chain() {
     for (lane, &count) in seen.lock().unwrap().iter().enumerate() {
         assert_eq!(count, ROUNDS, "lane {lane}");
     }
-    // K feeder threads + 1 virtual tally + 1 shared source + 1 shared sink.
-    assert_eq!(report.threads_spawned, K + 3);
+    // K feeder threads + 1 virtual tally.
+    assert_eq!(report.threads_spawned, K + 1);
 }
 
 /// Two virtual stages chained: the queue between them is also shared.
@@ -83,8 +83,8 @@ fn two_virtual_stages_in_chain() {
     // Each lane contributes sum(1..=ROUNDS).
     let per_lane = ROUNDS * (ROUNDS + 1) / 2;
     assert_eq!(total.load(Ordering::Relaxed), K as u64 * per_lane);
-    // 2 virtual stages + shared source + shared sink.
-    assert_eq!(report.threads_spawned, 4);
+    // 2 virtual stages.
+    assert_eq!(report.threads_spawned, 2);
 }
 
 /// ctx.stop() on a Count pipeline cuts it short cleanly.

@@ -38,8 +38,8 @@ fn workers_emit_rounds_in_order_without_reorder_stage() {
     .unwrap();
     let report = prog.run().unwrap();
     assert_eq!(seen.lock().unwrap().clone(), (0..100).collect::<Vec<u64>>());
-    // 4 worker threads + check + source + sink.
-    assert_eq!(report.threads_spawned, 7);
+    // 4 worker threads + check.
+    assert_eq!(report.threads_spawned, 5);
     // Per-replica rows roll up under the base name.
     let (rolled, n) = report.stage_rollup("work").unwrap();
     assert_eq!(n, 4);
@@ -232,9 +232,10 @@ fn spsc_detection_specializes_plain_chains_only() {
     let a = prog.add_stage("a", map_stage(|_, _| Ok(())));
     let farm = prog.workers("farm", 2, |_| map_stage(|_, _| Ok(())));
     let b = prog.add_stage("b", map_stage(|_, _| Ok(())));
+    let c = prog.add_stage("c", map_stage(|_, _| Ok(())));
     prog.add_pipeline(
         PipelineCfg::new("p", 3, 16).rounds(Rounds::Count(10)),
-        &[a, farm, b],
+        &[a, farm, b, c],
     )
     .unwrap();
     let v = prog.add_virtual_stage("v", map_stage(|_, _| Ok(())));
@@ -252,21 +253,19 @@ fn spsc_detection_specializes_plain_chains_only() {
         assert_eq!(q.spsc, q.flavor == "spsc", "spsc bool disagrees with label");
         q.flavor.clone()
     };
-    // source -> a: single producer (source thread), single consumer.
-    assert_eq!(flavor("p[0]"), "spsc");
+    // p's pool: the last stage conveys and any stage may discard into it.
+    assert_eq!(flavor("p[0]"), "lockfree");
     // a -> farm: the farm's replicas also push (caboose handoff): MPMC,
     // on the lock-free ring.
     assert_eq!(flavor("p[1]"), "lockfree");
     // farm -> b: two replica producers: MPMC.
     assert_eq!(flavor("p[2]"), "lockfree");
-    // Shared virtual input: fed by two pipelines' sources: MPMC.
+    // Shared virtual input, the pool of two pipelines: MPMC.
     assert_eq!(flavor("in/v"), "lockfree");
-    // Recycle and sink queues collect from many threads: MPMC, lock-free.
-    assert!(report
-        .queues
-        .iter()
-        .filter(|q| q.name.starts_with("recycle/") || q.name.starts_with("sink/"))
-        .all(|q| !q.spsc && q.flavor == "lockfree"));
+    // b -> c: one producer, one consumer.
+    assert_eq!(flavor("p[3]"), "spsc");
+    // No other queues: the pools are the first stages' inputs.
+    assert_eq!(report.queues.len(), 5);
 }
 
 proptest! {

@@ -25,8 +25,8 @@ fn replicated_stage_processes_every_round_once() {
     .unwrap();
     let report = prog.run().unwrap();
     assert_eq!(count.load(Ordering::Relaxed), 200);
-    // 4 replica threads + source + sink.
-    assert_eq!(report.threads_spawned, 6);
+    // 4 replica threads.
+    assert_eq!(report.threads_spawned, 4);
     // Replica stats are individually reported.
     assert!(report.stage("work#0").is_some());
     assert!(report.stage("work#3").is_some());

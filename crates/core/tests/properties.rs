@@ -153,8 +153,8 @@ proptest! {
         }
         let report = prog.run().unwrap();
         prop_assert_eq!(seen.load(Ordering::Relaxed), total);
-        // One virtual stage thread + one shared source + one shared sink.
-        prop_assert_eq!(report.threads_spawned, 3);
+        // One virtual stage thread.
+        prop_assert_eq!(report.threads_spawned, 1);
     }
 
     /// Snapshot merge is associative: replace-semantics means only the

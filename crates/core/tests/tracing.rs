@@ -73,8 +73,10 @@ fn gantt_renders_all_stages() {
         .expect("fast row");
     let dots = fast_row.matches('.').count();
     assert!(dots > 20, "fast row should be mostly starved: {fast_row}");
-    // Sources/sinks have no spans and render as aggregate (~) bars.
-    assert!(gantt.contains('~'), "untraced rows use aggregate bars");
+    // Every thread is a stage with its own spans: no row falls back to
+    // an aggregate (~) bar.
+    assert!(!gantt.contains('~'), "every row is traced: {gantt}");
+    assert_eq!(gantt.lines().count(), 3, "header + one row per stage");
 }
 
 #[test]

@@ -94,33 +94,38 @@ pub fn pass1(
     let fmt = cfg.record;
     let splits = splitters.to_vec();
     let records_per_block = cfg.records_per_block();
-    let permute = prog.add_stage(
-        "permute",
+    let permute = prog.add_stage("permute", {
+        // Per-block scratch, sized for the worst case up front and kept
+        // across blocks, so a block allocates nothing: each record's
+        // destination partition, the records grouped by destination (one
+        // group may take the whole block), and the packed chunk image.
+        let mut dest: Vec<usize> = Vec::with_capacity(records_per_block);
+        let mut groups: Vec<Vec<u8>> = (0..nodes)
+            .map(|_| Vec::with_capacity(block_bytes))
+            .collect();
+        let mut packed: Vec<u8> = Vec::with_capacity(send_buf);
         map_stage(move |buf, _ctx| {
             // Destination partition of each record, via extended keys.
-            let n = fmt.count(buf.filled());
             let base_seq = buf.round() * records_per_block as u64;
-            let mut dest = vec![0usize; n];
-            let mut counts = vec![0usize; nodes];
+            dest.clear();
             for (i, rec) in fmt.records(buf.filled()).enumerate() {
                 let e = ExtKey {
                     key: fmt.key(rec),
                     node: rank as u32,
                     seq: base_seq + i as u64,
                 };
-                let d = partition_of(&splits, e);
-                dest[i] = d;
-                counts[d] += 1;
+                dest.push(partition_of(&splits, e));
             }
             // Group records by destination, out of place (the auxiliary-
             // buffer pattern), and rewrite the buffer as (dest, records)
             // chunks.
-            let mut groups: Vec<Vec<u8>> =
-                counts.iter().map(|&c| Vec::with_capacity(c * rb)).collect();
-            for (i, rec) in fmt.records(buf.filled()).enumerate() {
-                groups[dest[i]].extend_from_slice(rec);
+            for group in &mut groups {
+                group.clear();
             }
-            let mut packed = Vec::with_capacity(buf.len() + nodes * CHUNK_HEADER_BYTES);
+            for (rec, &d) in fmt.records(buf.filled()).zip(&dest) {
+                groups[d].extend_from_slice(rec);
+            }
+            packed.clear();
             for (d, group) in groups.iter().enumerate() {
                 if !group.is_empty() {
                     chunks::push_chunk(&mut packed, d as u64, 0, group);
@@ -128,8 +133,8 @@ pub fn pass1(
             }
             buf.copy_from(&packed);
             Ok(())
-        }),
-    );
+        })
+    });
 
     let comm_send = comm.clone();
     let send = prog.add_stage(

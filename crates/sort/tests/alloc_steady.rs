@@ -2,12 +2,17 @@
 //! this test binary installs the tracking allocator
 //! ([`fg_core::FgAlloc`]), warms a sort kernel once (scratch growth is
 //! by-design allocation), and then asserts that every further sort round
-//! performs **zero** heap allocations.  Integration tests are separate
-//! binaries, so installing the global allocator here affects nothing
-//! else in the workspace.
+//! performs **zero** heap allocations; and it runs dsort at two input
+//! sizes to show that its pass-1 `permute` stage allocates per program,
+//! not per block.  Integration tests are separate binaries, so installing
+//! the global allocator here affects nothing else in the workspace.
 
+use fg_sort::config::SortConfig;
+use fg_sort::dsort::run_dsort;
+use fg_sort::input::provision;
 use fg_sort::kernels::SortScratch;
 use fg_sort::record::RecordFormat;
+use fg_sort::verify::{verify_output, Strictness};
 
 #[global_allocator]
 static FG_ALLOC: fg_core::FgAlloc = fg_core::FgAlloc;
@@ -65,4 +70,35 @@ fn warmed_kernel_sort_is_alloc_free_in_steady_state() {
     );
     assert_steady_state(RecordFormat::REC16);
     assert_steady_state(RecordFormat::REC64);
+}
+
+/// Allocations charged to dsort's `permute` stage threads (every node's)
+/// over one 4-node sort of `blocks` input blocks per node.
+fn permute_allocs(blocks: usize) -> u64 {
+    let probe = SortConfig::test_default(4, 1);
+    let cfg = SortConfig::test_default(4, blocks * probe.records_per_block());
+    let disks = provision(&cfg);
+    let tag = fg_core::register_tag("permute");
+    let before = fg_core::alloc::counts(tag).allocs;
+    run_dsort(&cfg, &disks).expect("dsort run");
+    let allocs = fg_core::alloc::counts(tag).allocs - before;
+    verify_output(&cfg, &disks, Strictness::Exact).expect("dsort output");
+    allocs
+}
+
+#[test]
+fn dsort_permute_allocations_do_not_grow_with_blocks() {
+    let _ = vec![0u8; 16];
+    assert!(fg_core::alloc::installed());
+    // Scratch sized up front: the stage's allocations are its per-thread
+    // set-up, the same at 8 and 128 blocks per node.  Allocating per block
+    // would add 4 nodes x 120 blocks x several vectors.
+    let small = permute_allocs(8);
+    let large = permute_allocs(128);
+    assert!(small > 0, "the permute tag saw no allocations at all");
+    assert!(
+        large <= small + 16,
+        "permute allocations grew with the block count: {small} at 8 blocks \
+         per node, {large} at 128"
+    );
 }

@@ -91,11 +91,35 @@ fn dsort_without_virtual_reads_matches() {
     )
     .expect("dsort run");
     verify_output(&cfg, &disks, Strictness::Exact).expect("output");
-    // Non-virtual pass 2 spawns at least 3 threads per run pipeline
-    // (stage + source + sink); virtual keeps it flat.
-    let runs: u64 = report.runs_per_node.iter().sum();
-    let threads: u64 = report.pass2_threads.iter().sum();
-    assert!(threads > runs, "expected per-run threads, got {report:?}");
+    // Non-virtual pass 2 spawns one read thread per run pipeline next to
+    // its four other stages; virtual keeps it flat.
+    for (runs, threads) in report.runs_per_node.iter().zip(&report.pass2_threads) {
+        assert_eq!(*threads, runs + 4, "{report:?}");
+    }
+}
+
+/// Each pass runs exactly one thread per stage: pass 1's six (read,
+/// permute, send; receive, sort, write) and, with virtual reads, pass 2's
+/// five (read, merge, send; receive, write) however many runs it merges.
+#[test]
+fn dsort_runs_one_thread_per_stage_at_any_run_count() {
+    // About 2 and about 64 runs per node (partitions differ in size).
+    for (run_bytes, runs) in [(32 * 1024, 2..=3), (1024, 48..=80)] {
+        let mut cfg = SortConfig::test_default(4, 4096);
+        cfg.run_bytes = run_bytes;
+        let disks = provision(&cfg);
+        let report = run_dsort(&cfg, &disks).expect("dsort run");
+        verify_output(&cfg, &disks, Strictness::Exact).expect("dsort output");
+        assert!(
+            report.runs_per_node.iter().all(|k| runs.contains(k)),
+            "run counts {:?} outside {runs:?}",
+            report.runs_per_node
+        );
+        let (pass1, pass2) = report.node0_reports.as_ref().expect("node 0 reports");
+        assert_eq!(pass1.threads_spawned, 6);
+        assert_eq!(pass2.threads_spawned, 5);
+        assert!(report.pass2_threads.iter().all(|&t| t == 5), "{report:?}");
+    }
 }
 
 #[test]
